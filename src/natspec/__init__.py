@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .exact import FieldError, GFp, Matrix, char_poly, trace_powers
 from .dpoly import DPoly, eval_dpoly, involution, parse, print_dpoly, proj_poly
 from .graphs import Graph, graph6_emit, graph6_parse
-from .closure import SubspaceBasis, generated_double_algebra, is_full
+from .closure import generated_double_algebra, is_full
 from .idempotents import (
     IdempotentBasis,
     involution_close,
@@ -48,7 +48,6 @@ __all__ = [
     "Graph",
     "graph6_emit",
     "graph6_parse",
-    "SubspaceBasis",
     "generated_double_algebra",
     "is_full",
     "IdempotentBasis",

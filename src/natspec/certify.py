@@ -40,7 +40,6 @@ from .dpoly import (
 )
 from .exact import Matrix
 from .graphs import BesReport, Graph, bes_statistics
-from .idempotents import primitive_circ_idempotents
 
 
 @dataclass
@@ -209,32 +208,24 @@ class ReconstructionFailure:
 def reconstruct(g: Graph):
     """Rebuild the graph from its generated double algebra: succeeds
     iff the algebra contains all n diagonal matrix units as primitive
-    idempotents."""
+    idempotents, that is, iff every diagonal cell is a single
+    position."""
     a = g.adjacency_matrix()
-    res = generated_double_algebra(a, early_exit=False)
-    prim = primitive_circ_idempotents(res.basis)
+    res = generated_double_algebra(a)
     n = g.n
-    diag = []
-    for e in prim:
-        if all(
-            e.rows[i][j] == 0
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        ) and not e.is_zero():
-            diag.append(e)
+    # the initial colouring separates the diagonal, so a cell is
+    # diagonal iff its smallest position is
+    diag = [cell for cell in res.cells if cell[0] % (n + 1) == 0]
     if len(diag) != n:
         return ReconstructionFailure(v_a=len(diag), dim=res.dim)
-    vmap = {}
-    for idx, e in enumerate(diag):
-        v = next(i for i in range(n) if e.rows[i][i] != 0)
-        vmap[idx] = v
-    edges = []
-    for s in range(n):
-        for t in range(s + 1, n):
-            prod = diag[s].matmul(a).matmul(diag[t])
-            if not prod.is_zero():
-                edges.append((vmap[s], vmap[t]))
+    vmap = {idx: cell[0] // (n + 1) for idx, cell in enumerate(diag)}
+    # E_ss * A * E_tt = a_st E_st
+    edges = [
+        (vmap[s], vmap[t])
+        for s in range(n)
+        for t in range(s + 1, n)
+        if a.rows[vmap[s]][vmap[t]] != 0
+    ]
     rebuilt = Graph.from_edges(n, edges)
     return Reconstruction(
         graph=rebuilt, vertex_map=vmap, matches=(rebuilt == g)

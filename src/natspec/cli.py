@@ -263,13 +263,9 @@ def _map_trials(fn, tasks, threads: int):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
-    report = {
-        "version": __version__,
-        "mode": cfg.mode,
-        "n": cfg.n,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-    }
+    report = {"version": __version__, "mode": cfg.mode}
+    if cfg.mode != "ds_family":
+        report.update(n=cfg.n, trials=cfg.trials, seed=cfg.seed)
     tasks = [(cfg.n, cfg.seed, i) for i in range(cfg.trials)]
     if cfg.mode == "bes_frequency":
         results = _map_trials(_bes_trial, tasks, cfg.threads)
@@ -299,6 +295,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for j in range(i + 1, len(family))
             if specs[i] == specs[j]
         ]
+        report["n"] = bundle.n
         report["family_size"] = len(family)
         report["fingerprint"] = bundle.fingerprint
         report["probe_count"] = len(bundle.probes)

@@ -2,341 +2,97 @@
 
 A double subalgebra of the n x n matrices is a subspace closed under
 both the matrix product and the Hadamard product and containing both
-identities.  This module computes the subalgebra generated by a single
-matrix by alternating span extension with product formation until the
-dimension stabilizes, together with the product filtration and simple
-dimension reports for graphs.
+identities.  One that is Hadamard-closed and contains J is spanned by
+the 0/1 indicators of a partition of the n^2 entry positions, and it
+is closed under the matrix product exactly when the partition is
+stable: for any two cells X and Y, the number of k with (i, k) in X and
+(k, j) in Y is the same for every position (i, j) of a cell.
 
-The linear algebra is done fraction-free over the integers: every
-matrix in play here has rational entries, so a vector can be scaled to
-a primitive integer vector, and elimination keeps integer rows with a
-gcd strip after each step.  This keeps the inner loop in machine-int
-territory for the small coefficients that actually occur.
+So the algebra generated by a matrix a is the span of the coarsest
+stable refinement of the colouring (a_ij, i == j) of positions, which
+`refine` computes by 2-dimensional Weisfeiler-Leman refinement on
+ordered pairs (Weisfeiler & Leman 1968; Immerman & Lander 1990).  Its
+dimension is the number of cells, and it is full (all of M_n) exactly
+when every cell is a single position.  The refinement uses no transpose
+pairing, so it also holds for non-symmetric rational matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from .exact import Matrix, Scalar
+from .exact import Matrix
 from .graphs import Graph, distance_and_diameter
 
 
-class ClosureError(ValueError):
-    pass
-
-
-def _to_int_vector(m: Matrix) -> List[int]:
-    flat: List[Scalar] = [x for r in m.rows for x in r]
-    den = 1
-    for x in flat:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    if den == 1:
-        return [int(x) for x in flat]
-    return [int(x * den) for x in flat]
-
-
-def _strip(v: List[int]) -> List[int]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
+def refine(a: Matrix) -> Tuple[List[List[int]], int]:
+    """The coarsest stable refinement of the colouring (a_ij, i == j):
+    a colour for each position, numbered in order of first position
+    (row-major), and the number of refinement passes run.  A pass
+    recolours (i, j) by its colour and the multiset of colour pairs
+    (c(i, k), c(k, j)) over k; the last pass is the one that splits no
+    class, unless the colouring became discrete first."""
+    n = a.n
+    ids: dict = {}
+    colour = [
+        [ids.setdefault((x, i == j), len(ids)) for j, x in enumerate(row)]
+        for i, row in enumerate(a.rows)
+    ]
+    classes = len(ids)
+    passes = 0
+    while classes < n * n:
+        columns = list(zip(*colour))
+        ids = {}
+        colour_next = [
+            [
+                ids.setdefault(
+                    (row[j], tuple(sorted(zip(row, columns[j])))), len(ids)
+                )
+                for j in range(n)
+            ]
+            for row in colour
+        ]
+        passes += 1
+        if len(ids) == classes:
             break
-    if g > 1:
-        v = [x // g for x in v]
-    # sign convention: first nonzero entry positive
-    for x in v:
-        if x:
-            if x < 0:
-                v = [-y for y in v]
-            break
-    return v
-
-
-class SubspaceBasis:
-    """An integer echelon basis of a subspace of n x n matrices.
-
-    Rows are primitive integer vectors in echelon form (strictly
-    increasing pivot columns); `members` records the matrices whose
-    insertion actually grew the space, in insertion order, so they form
-    a (non-echelon) basis of the same span.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: List[List[int]] = []
-        self.pivots: List[int] = []
-        self.members: List[Matrix] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, v: List[int]) -> List[int]:
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                p = row[c]
-                coef = v[c]
-                v = [p * a - coef * b for a, b in zip(v, row)]
-                v = _strip(v)
-        return v
-
-    def residual(self, m: Matrix) -> List[int]:
-        if m.n != self.n:
-            raise ClosureError("dimension mismatch")
-        return self._reduce(_to_int_vector(m))
-
-    def contains(self, m: Matrix) -> bool:
-        return not any(self.residual(m))
-
-    def add(self, m: Matrix) -> bool:
-        """Insert m's residual if it is independent; True if dim grew."""
-        v = self.residual(m)
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is None:
-            return False
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < c:
-            k += 1
-        self.rows.insert(k, v)
-        self.pivots.insert(k, c)
-        self.members.append(m)
-        return True
-
-    def rref_matrices(self) -> List[Matrix]:
-        """The reduced (pivot = 1, back-eliminated) basis, as matrices."""
-        rows = [[Fraction(x) for x in r] for r in self.rows]
-        for i in range(len(rows) - 1, -1, -1):
-            c = self.pivots[i]
-            piv = rows[i][c]
-            rows[i] = [x / piv for x in rows[i]]
-            for j in range(i):
-                f = rows[j][c]
-                if f:
-                    rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
-        n = self.n
-        out = []
-        for r in rows:
-            out.append(
-                Matrix([r[i * n : (i + 1) * n] for i in range(n)])
-            )
-        return out
-
-    def coordinates(self, m: Matrix) -> Optional[List[Fraction]]:
-        """Coordinates of m in the rref basis, or None if m is outside
-        the span."""
-        if not self.contains(m):
-            return None
-        flat = [Fraction(x) for r in m.rows for x in r]
-        coords = []
-        ref = self.rref_matrices()
-        for b, c in zip(ref, self.pivots):
-            coords.append(flat[c])
-            bf = [Fraction(x) for r in b.rows for x in r]
-            flat = [a - flat[c] * y for a, y in zip(flat, bf)]
-        return coords
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [[str(x) for x in r] for r in self.rows],
-            "pivots": list(self.pivots),
-            "members": [m.to_json() for m in self.members],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SubspaceBasis":
-        b = SubspaceBasis(data["n"])
-        b.rows = [[int(x) for x in r] for r in data["rows"]]
-        b.pivots = list(data["pivots"])
-        b.members = [Matrix.from_json(m) for m in data["members"]]
-        return b
+        colour, classes = colour_next, len(ids)
+    return colour, passes
 
 
 @dataclass
 class ClosureResult:
+    """The generated double algebra as a partition of positions
+    pos = i * n + j: `cells` ordered by smallest position, each listing
+    its positions in increasing order; `rounds` counts the refinement
+    passes."""
+
     n: int
-    basis: SubspaceBasis
+    cells: List[List[int]]
     rounds: int
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return len(self.cells)
 
     @property
     def full(self) -> bool:
         return self.dim == self.n * self.n
 
 
-def _close_under(
-    basis: SubspaceBasis,
-    use_bullet: bool,
-    use_circ: bool,
-    stop_at: Optional[int],
-) -> int:
-    """Extend basis with products of its members until stable; returns
-    the number of product rounds."""
-    frontier = list(basis.members)
-    rounds = 0
-    while frontier:
-        if stop_at is not None and basis.dim >= stop_at:
-            break
-        rounds += 1
-        new: List[Matrix] = []
-        members = list(basis.members)
-        for f in frontier:
-            for m in members:
-                cands = []
-                if use_bullet:
-                    cands.append(f.matmul(m))
-                    cands.append(m.matmul(f))
-                if use_circ:
-                    cands.append(f.hadamard(m))
-                for c in cands:
-                    if basis.add(c):
-                        new.append(c)
-                        if stop_at is not None and basis.dim >= stop_at:
-                            return rounds
-        frontier = new
-    return rounds
-
-
-def generated_double_algebra(
-    a: Matrix, early_exit: bool = True
-) -> ClosureResult:
+def generated_double_algebra(a: Matrix) -> ClosureResult:
     """The smallest subspace containing I, J and a that is closed under
-    both products.  With early_exit (default), stops as soon as the
-    dimension reaches n^2, since the full matrix space is closed under
-    everything."""
-    n = a.n
-    basis = SubspaceBasis(n)
-    for g in (Matrix.identity(n), Matrix.ones(n), a):
-        basis.add(g)
-    rounds = _close_under(
-        basis, True, True, n * n if early_exit else None
-    )
-    return ClosureResult(n, basis, rounds)
-
-
-def circ_generated(mats: Sequence[Matrix]) -> SubspaceBasis:
-    """The Hadamard-product algebra generated by the given matrices
-    (always contains the all-one matrix, its unit)."""
-    if not mats:
-        raise ClosureError("need at least one generator")
-    n = mats[0].n
-    basis = SubspaceBasis(n)
-    basis.add(Matrix.ones(n))
-    for m in mats:
-        basis.add(m)
-    _close_under(basis, False, True, None)
-    return basis
-
-
-def product_filtration(a: Matrix, max_steps: int = 64) -> List[SubspaceBasis]:
-    """The filtration R0 c R1 c ... where R0 is the Hadamard algebra
-    generated by I and a, and each next space is the Hadamard algebra
-    generated by all pairwise matrix products of a basis of the
-    previous one.  Stops when the dimension stabilizes."""
-    n = a.n
-    spaces = [circ_generated([Matrix.identity(n), a])]
-    for _ in range(max_steps):
-        prev = spaces[-1].members
-        prods = [u.matmul(v) for u in prev for v in prev]
-        nxt = circ_generated(prods)
-        spaces.append(nxt)
-        if nxt.dim == spaces[-2].dim:
-            break
-    return spaces
-
-
-_WITNESS_PRIME = 2**31 - 1
-
-
-def _full_mod_p(a: Matrix, p: int = _WITNESS_PRIME) -> bool:
-    """Whether the generated double algebra is full when computed mod p.
-    The mod-p dimension never exceeds the rational one, so True here
-    certifies fullness over the rationals."""
-    n = a.n
-    target = n * n
-
-    def to_flat(m: Matrix):
-        out = []
-        for r in m.rows:
-            for x in r:
-                f = Fraction(x)
-                out.append(
-                    f.numerator * pow(f.denominator, -1, p) % p
-                )
-        return out
-
-    def bullet(u, v):
-        w = [0] * target
-        for i in range(n):
-            base = i * n
-            row = u[base : base + n]
-            for k in range(n):
-                c = row[k]
-                if c:
-                    vb = k * n
-                    for j in range(n):
-                        w[base + j] = (w[base + j] + c * v[vb + j]) % p
-        return w
-
-    rows: List[List[int]] = []
-    pivots: List[int] = []
-
-    def add(v):
-        v = list(v)
-        for row, c in zip(rows, pivots):
-            if v[c]:
-                f = v[c]
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is None:
-            return False
-        inv = pow(v[c], -1, p)
-        v = [x * inv % p for x in v]
-        k = 0
-        while k < len(pivots) and pivots[k] < c:
-            k += 1
-        rows.insert(k, v)
-        pivots.insert(k, c)
-        return True
-
-    ident = [1 if i % (n + 1) == 0 else 0 for i in range(target)]
-    ones = [1] * target
-    av = to_flat(a)
-    members = []
-    for v in (ident, ones, av):
-        if add(v):
-            members.append(v)
-    frontier = list(members)
-    while frontier and len(rows) < target:
-        new = []
-        snapshot = list(members)
-        for f in frontier:
-            for m in snapshot:
-                for c in (
-                    bullet(f, m),
-                    bullet(m, f),
-                    [x * y % p for x, y in zip(f, m)],
-                ):
-                    if add(c):
-                        new.append(c)
-                        members.append(c)
-                        if len(rows) >= target:
-                            return True
-        frontier = new
-    return len(rows) >= target
+    both products."""
+    colour, passes = refine(a)
+    cells: List[List[int]] = []
+    for pos, c in enumerate(x for row in colour for x in row):
+        if c == len(cells):
+            cells.append([])
+        cells[c].append(pos)
+    return ClosureResult(a.n, cells, passes)
 
 
 def is_full(a: Matrix) -> bool:
-    if _full_mod_p(a):
-        return True
     return generated_double_algebra(a).full
 
 
@@ -358,8 +114,7 @@ def dimension_bounds_report(g: Graph) -> DimensionReport:
     and the n^2 upper bound."""
     from .graphs import intersection_array, srg_parameters
 
-    a = g.adjacency_matrix()
-    res = generated_double_algebra(a, early_exit=False)
+    res = generated_double_algebra(g.adjacency_matrix())
     n = g.n
     if g.is_connected() and n > 0:
         _, diam = distance_and_diameter(g)

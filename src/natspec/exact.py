@@ -99,14 +99,29 @@ def scalar_is_zero(x: Scalar) -> bool:
     return x == 0
 
 
+def _int_str(v: int) -> str:
+    """str(v) for an int of any length.  CPython refuses to convert an
+    int longer than sys.get_int_max_str_digits() (4300 by default);
+    such ints are rendered in halves split on a power of ten, leaving
+    the interpreter-wide limit alone."""
+    try:
+        return str(v)
+    except ValueError:
+        if v < 0:
+            return "-" + _int_str(-v)
+        k = v.bit_length() * 3 // 20  # about half the decimal digits
+        hi, lo = divmod(v, 10**k)
+        return _int_str(hi) + _int_str(lo).zfill(k)
+
+
 def format_scalar(x: Scalar) -> str:
     """Render a scalar as an exact decimal-free literal, "p" or "p/q"."""
     if isinstance(x, GFp):
         return str(x.value)
     f = Fraction(x)
     if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+        return _int_str(f.numerator)
+    return _int_str(f.numerator) + "/" + _int_str(f.denominator)
 
 
 def parse_scalar(s: str) -> Scalar:

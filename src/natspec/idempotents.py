@@ -3,7 +3,7 @@
 A commutative Hadamard subalgebra of M_n containing the all-one matrix
 J is spanned by 0/1 "indicator" matrices of a partition of the n^2
 entry positions; those indicators are its primitive idempotents.  This
-module computes them for a concrete subspace, and builds *universal*
+module reads them off a generated double algebra, and builds *universal*
 bases: single lists of double polynomials whose evaluations at every
 member of a finite family of matrices yield that member's primitive
 idempotents, together with the strictification (duplicate-killing) and
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .closure import SubspaceBasis
+from .closure import ClosureResult
 from .dpoly import (
     B_ONE,
     C_ONE,
@@ -51,35 +51,16 @@ class IdempotentError(ValueError):
     pass
 
 
-# -- primitive idempotents of a concrete subspace --------------------
+# -- primitive idempotents of a generated double algebra -------------
 
-def primitive_circ_idempotents(space: SubspaceBasis) -> List[Matrix]:
-    """The primitive Hadamard idempotents of a Hadamard-closed subspace
-    containing J, via partition refinement of entry positions by their
-    value vector across the basis; ordered by smallest position."""
-    basis = space.rref_matrices()
-    n = space.n
-    if not space.contains(Matrix.ones(n)):
-        raise IdempotentError("subspace does not contain the all-one matrix")
-    for i, b in enumerate(basis):
-        for c in basis[i:]:
-            if not space.contains(b.hadamard(c)):
-                raise IdempotentError(
-                    "subspace is not closed under the Hadamard product"
-                )
-    classes: Dict[tuple, List[int]] = {}
-    order: List[tuple] = []
-    for pos in range(n * n):
-        i, j = divmod(pos, n)
-        profile = tuple(Fraction(b.rows[i][j]) for b in basis)
-        if profile not in classes:
-            classes[profile] = []
-            order.append(profile)
-        classes[profile].append(pos)
+def primitive_circ_idempotents(res: ClosureResult) -> List[Matrix]:
+    """The primitive Hadamard idempotents of a generated double algebra:
+    the 0/1 indicators of its cells, ordered by smallest position."""
+    n = res.n
     out = []
-    for profile in order:
+    for cell in res.cells:
         rows = [[0] * n for _ in range(n)]
-        for pos in classes[profile]:
+        for pos in cell:
             rows[pos // n][pos % n] = 1
         out.append(Matrix(rows))
     return out

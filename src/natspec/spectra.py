@@ -187,8 +187,8 @@ class MergePlan:
             "m": self.m,
             "b": self.b,
             "n": self.n,
-            "z": str(self.z),
-            "weights": [str(w) for w in self.weights],
+            "z": format_scalar(self.z),
+            "weights": [format_scalar(w) for w in self.weights],
             "scheme": self.scheme,
             "exponents": list(self.exponents),
         }

@@ -16,11 +16,7 @@ from natspec.certify import (
     bes_certificate,
     reconstruct,
 )
-from natspec.closure import (
-    dimension_bounds_report,
-    generated_double_algebra,
-    is_full,
-)
+from natspec.closure import dimension_bounds_report, is_full
 from natspec.dpoly import (
     B_ONE,
     X,
@@ -49,7 +45,6 @@ from natspec.graphs import (
 from natspec.idempotents import (
     check_basis,
     involution_close,
-    primitive_circ_idempotents,
     universal_basis,
     universal_basis_full,
 )
@@ -64,6 +59,8 @@ from natspec.spectra import (
     spectrum_of,
     traces_from_charpoly,
 )
+
+from closure_oracle import oracle_closure, profile_idempotents
 
 # Threshold pinned by scripts/bes_pilot.py (fixed seed schedule, seed
 # 55, trials 200/100/50): observed pass rate is 0 at every simulable
@@ -192,8 +189,7 @@ def test_criterion_3_universal_basis_oracle():
         if not basis.stabilized:
             problems.append("%r: did not stabilize" % g)
         got = set(basis.nonzero_values_on(0))
-        space = generated_double_algebra(a, early_exit=False).basis
-        oracle = set(primitive_circ_idempotents(space))
+        oracle = set(profile_idempotents(oracle_closure(a).basis))
         if got != oracle:
             problems.append("%r: atoms differ from closure oracle" % g)
         closed = involution_close(basis, [a])
@@ -217,7 +213,7 @@ def test_criterion_4_reconstruction():
     success_count = 0
     for g in all_graphs_up_to(5):
         out = reconstruct(g)
-        full = generated_double_algebra(g.adjacency_matrix()).full
+        full = oracle_closure(g.adjacency_matrix(), early_exit=True).full
         if full:
             full_count += 1
             if not (isinstance(out, Reconstruction) and out.matches):
@@ -231,7 +227,7 @@ def test_criterion_4_reconstruction():
     # no n <= 5 graph is full-dimensional, so extend with a known full
     # 8-vertex sample to exercise the non-vacuous path
     g8 = random_gnp_half(8, derive_seed(7, 46))
-    if not is_full(g8.adjacency_matrix()):
+    if not oracle_closure(g8.adjacency_matrix(), early_exit=True).full:
         problems.append("frozen 8-vertex sample no longer full-dimensional")
     out8 = reconstruct(g8)
     if not (isinstance(out8, Reconstruction) and out8.matches):

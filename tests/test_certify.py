@@ -63,7 +63,7 @@ class TestBesCertificate:
     def test_units_span_full_with_j_sandwich(self):
         # b_s * J * b_t ranges over all matrix units -> dimension n^2
         g, cert = certified_sample()
-        from natspec.closure import SubspaceBasis
+        from closure_oracle import SubspaceBasis
 
         n = g.n
         span = SubspaceBasis(n)

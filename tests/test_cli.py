@@ -77,6 +77,24 @@ class TestDsCommands:
         assert code == EXIT_OK
         assert data["verdict"] == "different_spectrum"
 
+    def test_full_member_bundle(self, tmp_path):
+        # the merged spectrum of a full member runs past CPython's
+        # default 4300-digit limit on int/str conversion
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        corpus = tmp_path / "full6.g6"
+        corpus.write_text("E\\Q?\n")
+        bundle_path = tmp_path / "bundle.json"
+        code = main(["ds-build", "--corpus", str(corpus), "--out", str(bundle_path)])
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        bundle = json.loads(bundle_path.read_text())
+        assert bundle["full_members"] == [True]
+        coeffs = bundle["member_spectra"][0]["coeffs"]
+        assert len(coeffs) == 7 and coeffs[0] == "1"
+        assert max(len(c.lstrip("-")) for c in coeffs) > limit
+
     def test_fingerprint_mismatch(self, corpus, tmp_path):
         bundle_path = tmp_path / "bundle.json"
         main(["ds-build", "--corpus", str(corpus), "--out", str(bundle_path)])
@@ -147,6 +165,8 @@ class TestExperiment:
             tmp_path,
         )
         assert code == EXIT_OK
+        assert data["n"] == 3
+        assert "trials" not in data and "seed" not in data
         assert data["family_size"] == 4
         assert data["spectrum_collisions"] == []
         assert data["full_pairs_separated"] is True

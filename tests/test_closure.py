@@ -1,32 +1,52 @@
-"""Generated double algebras, subspace bases, dimension reports."""
+"""Generated double algebras, the refinement kernel, dimension reports."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from natspec.closure import (
-    ClosureError,
-    SubspaceBasis,
-    circ_generated,
     dimension_bounds_report,
     generated_double_algebra,
     is_full,
-    product_filtration,
 )
 from natspec.exact import Matrix
 from natspec.graphs import (
     complete_graph,
     cycle_graph,
+    derive_seed,
     enumerate_graphs,
     path_graph,
     petersen_graph,
     random_gnp_half,
 )
+from natspec.idempotents import primitive_circ_idempotents
 
+from closure_oracle import (
+    ClosureError,
+    SubspaceBasis,
+    oracle_closure,
+    profile_idempotents,
+)
 from conftest import random_zero_one_symmetric
 
 
+def constant_on_cells(m, res):
+    n = res.n
+    return all(
+        len({m.rows[p // n][p % n] for p in cell}) == 1 for cell in res.cells
+    )
+
+
+def directed_cycle(n):
+    return Matrix(
+        [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    )
+
+
 class TestSubspaceBasis:
+    """The elimination oracle's subspace basis."""
+
     def test_span_membership(self):
         b = SubspaceBasis(2)
         m1 = Matrix([[1, 0], [0, 1]])
@@ -91,50 +111,118 @@ class TestGeneratedAlgebra:
             (path_graph(4), 8),
         ]
         for g, d in cases:
-            res = generated_double_algebra(
-                g.adjacency_matrix(), early_exit=False
-            )
-            assert res.dim == d, g
+            assert generated_double_algebra(g.adjacency_matrix()).dim == d, g
+
+    def test_theory_dimensions(self):
+        # distance-regular graphs: diameter + 1 (Petersen, C5, C7, K_n);
+        # the directed n-cycle P: the powers of P are disjoint 0/1
+        # matrices summing to J, so the algebra is their span
+        cases = [
+            (petersen_graph().adjacency_matrix(), 3),
+            (cycle_graph(5).adjacency_matrix(), 3),
+            (cycle_graph(7).adjacency_matrix(), 4),
+        ]
+        cases += [(complete_graph(n).adjacency_matrix(), 2) for n in range(2, 7)]
+        cases += [(directed_cycle(n), n) for n in range(1, 8)]
+        for a, d in cases:
+            assert generated_double_algebra(a).dim == d, a
 
     def test_closure_is_closed(self, rng):
-        a = random_zero_one_symmetric(rng, 4)
-        basis = generated_double_algebra(a, early_exit=False).basis
-        mats = basis.members
-        for u in mats:
-            for v in mats:
-                assert basis.contains(u.matmul(v))
-                assert basis.contains(u.hadamard(v))
+        for a in (
+            random_zero_one_symmetric(rng, 4),
+            path_graph(5).adjacency_matrix(),
+            directed_cycle(4),
+        ):
+            res = generated_double_algebra(a)
+            atoms = primitive_circ_idempotents(res)
+            for u in atoms:
+                for v in atoms:
+                    assert constant_on_cells(u.matmul(v), res)
+                    assert constant_on_cells(u.hadamard(v), res)
 
     def test_contains_generators(self):
         a = path_graph(3).adjacency_matrix()
-        basis = generated_double_algebra(a).basis
+        res = generated_double_algebra(a)
         for m in (Matrix.identity(3), Matrix.ones(3), a):
-            assert basis.contains(m)
+            assert constant_on_cells(m, res)
 
-    def test_circ_generated(self):
-        # The Hadamard algebra of {I, J} on n=3: I and J are the only
-        # idempotent profiles, span dim 2.
-        assert circ_generated([Matrix.identity(3)]).dim == 2
-        a = Matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        # entry values {0,1,2} give 3 indicator profiles -> dim 3 with J
-        assert circ_generated([a]).dim >= 3
+    def test_cells_partition_positions(self):
+        res = generated_double_algebra(path_graph(4).adjacency_matrix())
+        flat = [p for cell in res.cells for p in cell]
+        assert sorted(flat) == list(range(16))
+        assert [cell[0] for cell in res.cells] == sorted(
+            cell[0] for cell in res.cells
+        )
+        assert all(cell == sorted(cell) for cell in res.cells)
+        assert res.rounds >= 1
 
-    def test_product_filtration_p4(self):
-        dims = [b.dim for b in product_filtration(path_graph(4).adjacency_matrix())]
-        assert dims == [3, 8, 8]
+    def test_relabeling_invariance(self):
+        rng = random.Random(20260823)
+        for n in (8, 12, 16):
+            g = random_gnp_half(n, derive_seed(11, n))
+            base = generated_double_algebra(g.adjacency_matrix())
+            for _ in range(20):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                res = generated_double_algebra(g.relabel(perm).adjacency_matrix())
+                assert (res.dim, res.full) == (base.dim, base.full), (n, perm)
 
-    def test_filtration_monotone(self, rng):
-        a = random_zero_one_symmetric(rng, 5)
-        dims = [b.dim for b in product_filtration(a)]
-        assert all(x <= y for x, y in zip(dims, dims[1:]))
-        assert dims[-1] == generated_double_algebra(a, early_exit=False).dim
+
+class TestOracleDifferential:
+    """The refinement kernel against the elimination closure."""
+
+    @staticmethod
+    def check(a):
+        oracle = oracle_closure(a)
+        res = generated_double_algebra(a)
+        assert (res.dim, res.full) == (oracle.dim, oracle.full), a
+        assert primitive_circ_idempotents(res) == profile_idempotents(
+            oracle.basis
+        ), a
+        return res
+
+    def test_all_graphs_up_to_6(self):
+        count = 0
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                self.check(g.adjacency_matrix())
+                count += 1
+        assert count == 208
+
+    def test_gnp8(self):
+        # four non-full samples (dims 40, 50, 30, 30) and a full one
+        dims = [
+            self.check(random_gnp_half(8, derive_seed(7, k)).adjacency_matrix()).dim
+            for k in (3, 6, 9, 13, 46)
+        ]
+        assert dims == [40, 50, 30, 30, 64]
+
+    def test_non_symmetric_rational(self):
+        rng = random.Random(20260823)
+        pools = [
+            [0, 1],
+            [0, 1, Fraction(1, 2)],
+            [Fraction(p, q) for p in range(-2, 3) for q in (1, 3)],
+        ]
+        full = 0
+        for t in range(60):
+            n = 2 + t % 4
+            pool = pools[t % 3]
+            if t % 2:
+                # a circulant: its algebra lies in the circulants
+                c = [rng.choice(pool) for _ in range(n)]
+                a = Matrix([[c[(j - i) % n] for j in range(n)] for i in range(n)])
+            else:
+                a = Matrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+            full += self.check(a).full
+        assert 0 < full < 60
 
 
 class TestIsFull:
     def test_agrees_with_exact(self, rng):
         for _ in range(12):
             a = random_zero_one_symmetric(rng, 4)
-            assert is_full(a) == generated_double_algebra(a).full
+            assert is_full(a) == oracle_closure(a, early_exit=True).full
 
     def test_full_example(self):
         g = random_gnp_half(8, 3254523697334435549)
@@ -144,6 +232,12 @@ class TestIsFull:
 
     def test_petersen_not_full(self):
         assert not is_full(petersen_graph().adjacency_matrix())
+
+    def test_denominator_divisible_by_large_prime(self):
+        x = Fraction(1, 2**31 - 1)
+        a = Matrix([[0, x], [x, 0]])
+        assert is_full(a) is False
+        assert generated_double_algebra(a).dim == 2
 
 
 class TestDimensionBounds:

@@ -67,6 +67,19 @@ class TestScalarText:
         assert parse_scalar("4/2") == 2
         assert isinstance(parse_scalar("4/2"), int)
 
+    def test_past_the_int_str_digit_limit(self):
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        big = 10**5000
+        assert format_scalar(big) == "1" + "0" * 5000
+        assert format_scalar(-big - 7) == "-1" + "0" * 4999 + "7"
+        num = 3 * 10**4999 + 1  # 5,000 digits
+        x = Fraction(num, 7)
+        assert format_scalar(x) == "3" + "0" * 4998 + "1/7"
+        assert format_scalar(-x) == "-" + format_scalar(x)
+        assert sys.get_int_max_str_digits() == limit
+
 
 def mat(rows):
     return Matrix(rows)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from natspec.closure import SubspaceBasis, circ_generated, generated_double_algebra
+from natspec.closure import generated_double_algebra
 from natspec.dpoly import B_ONE, X, eval_dpoly, proj_poly, circ_spectrum
 from natspec.exact import Matrix
 from natspec.graphs import complete_graph, enumerate_graphs, path_graph, petersen_graph
@@ -19,55 +19,59 @@ from natspec.idempotents import (
     universal_basis_full,
 )
 
+from closure_oracle import (
+    ClosureError,
+    SubspaceBasis,
+    oracle_closure,
+    profile_idempotents,
+)
 from conftest import random_zero_one_symmetric
 
 
 class TestPrimitiveIdempotents:
     def test_span_of_j_only(self):
-        b = SubspaceBasis(3)
-        b.add(Matrix.ones(3))
-        assert primitive_circ_idempotents(b) == [Matrix.ones(3)]
+        # I = J only at n = 1, so a single cell
+        res = generated_double_algebra(Matrix([[Fraction(5, 2)]]))
+        assert primitive_circ_idempotents(res) == [Matrix.ones(1)]
 
     def test_span_i_j(self):
-        b = SubspaceBasis(3)
-        b.add(Matrix.identity(3))
-        b.add(Matrix.ones(3))
-        got = primitive_circ_idempotents(b)
+        res = generated_double_algebra(complete_graph(3).adjacency_matrix())
+        got = primitive_circ_idempotents(res)
         off = Matrix.ones(3) - Matrix.identity(3)
         assert got == [Matrix.identity(3), off]
 
     def test_petersen_three_atoms(self):
         a = petersen_graph().adjacency_matrix()
-        space = generated_double_algebra(a, early_exit=False).basis
-        atoms = primitive_circ_idempotents(space)
+        atoms = primitive_circ_idempotents(generated_double_algebra(a))
         assert len(atoms) == 3
         assert sum(atoms[1:], atoms[0]) == Matrix.ones(10)
         assert a in atoms  # the adjacency itself is an atom of an SRG
 
+    # the elimination oracle's value-profile idempotents check their
+    # input, so the differential tests cannot pass on a bad closure
     def test_requires_j(self):
         b = SubspaceBasis(2)
         b.add(Matrix.identity(2))
-        with pytest.raises(IdempotentError):
-            primitive_circ_idempotents(b)
+        with pytest.raises(ClosureError):
+            profile_idempotents(b)
 
     def test_requires_hadamard_closed(self):
         b = SubspaceBasis(2)
         b.add(Matrix([[1, 2], [3, 4]]))
         b.add(Matrix.ones(2))
-        with pytest.raises(IdempotentError):
-            primitive_circ_idempotents(b)
+        with pytest.raises(ClosureError):
+            profile_idempotents(b)
 
     def test_completeness_small_spaces(self, rng):
-        # every 0/1 matrix of the space is a sum of the atoms it covers
+        # every 0/1 matrix of the algebra (oracle span) is a sum of the
+        # atoms it covers
         for _ in range(8):
-            mats = [random_zero_one_symmetric(rng, 3) for _ in range(2)]
-            space = circ_generated(mats)
-            atoms = primitive_circ_idempotents(space)
-            for m in space.rref_matrices():
+            a = random_zero_one_symmetric(rng, 3)
+            atoms = primitive_circ_idempotents(generated_double_algebra(a))
+            for m in oracle_closure(a).basis.rref_matrices():
                 if m.is_zero_one() and not m.is_zero():
                     covered = [e for e in atoms if e.hadamard(m) == e]
                     assert sum(covered[1:], covered[0]) == m
-
 
 class TestUniversalBasis:
     def test_two_member_family(self):
@@ -161,8 +165,7 @@ class TestUniversalBasisFull:
         assert basis.stabilized
         assert check_basis(basis) == []
         for m, a in enumerate(fams):
-            space = generated_double_algebra(a, early_exit=False).basis
-            oracle = set(primitive_circ_idempotents(space))
+            oracle = set(profile_idempotents(oracle_closure(a).basis))
             got = set(basis.nonzero_values_on(m))
             assert got == oracle
 

@@ -163,6 +163,14 @@ class TestMergePlans:
         back = MergePlan.from_json(plan.to_json())
         assert back == plan
 
+    def test_json_renders_long_weights(self):
+        # weights past CPython's default 4300-digit int/str limit
+        z = 10**2500 + 1
+        plan = MergePlan(3, 1, 1, z, (1, z, z * z), "geometric", (0, 1, 2))
+        data = plan.to_json()
+        assert data["z"] == "1" + "0" * 2499 + "1"
+        assert len(data["weights"][2]) == 5001
+
 
 class TestDsPipeline:
     def test_small_family_bundle(self):
