@@ -18,7 +18,6 @@ from .idempotents import (
     IdempotentBasis,
     involution_close,
     primitive_circ_idempotents,
-    strictify,
     universal_basis,
     universal_basis_full,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "IdempotentBasis",
     "involution_close",
     "primitive_circ_idempotents",
-    "strictify",
     "universal_basis",
     "universal_basis_full",
     "MergePlan",

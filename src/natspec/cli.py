@@ -261,10 +261,10 @@ def _map_trials(fn, tasks, threads: int):
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
     report = {"version": __version__, "mode": cfg.mode}
     if cfg.mode != "ds_family":
+        if cfg.trials < 1:
+            raise ValueError("trials must be >= 1")
         report.update(n=cfg.n, trials=cfg.trials, seed=cfg.seed)
     tasks = [(cfg.n, cfg.seed, i) for i in range(cfg.trials)]
     if cfg.mode == "bes_frequency":

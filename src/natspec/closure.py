@@ -14,50 +14,68 @@ stable refinement of the colouring (a_ij, i == j) of positions, which
 ordered pairs (Weisfeiler & Leman 1968; Immerman & Lander 1990).  Its
 dimension is the number of cells, and it is full (all of M_n) exactly
 when every cell is a single position.  The refinement uses no transpose
-pairing, so it also holds for non-symmetric rational matrices.
+pairing, so it also holds for non-symmetric rational matrices.  Run on
+a family of matrices, with class names shared across members, it also
+yields the atoms of the family's universal idempotent basis
+(`idempotents.universal_basis_full`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import Matrix
 from .graphs import Graph, distance_and_diameter
 
 
-def refine(a: Matrix) -> Tuple[List[List[int]], int]:
-    """The coarsest stable refinement of the colouring (a_ij, i == j):
-    a colour for each position, numbered in order of first position
-    (row-major), and the number of refinement passes run.  A pass
-    recolours (i, j) by its colour and the multiset of colour pairs
-    (c(i, k), c(k, j)) over k; the last pass is the one that splits no
-    class, unless the colouring became discrete first."""
-    n = a.n
+def refine(
+    mats: Sequence[Matrix],
+) -> Tuple[List[List[List[int]]], List[List[tuple]]]:
+    """The coarsest stable refinement of the colouring (a_ij, i == j)
+    of every member's positions, with class names shared across
+    members: each member's colours, numbered in order of first
+    (member, row-major position), and for each pass that split a class
+    the key of each of its classes, in colour order.  A pass recolours
+    (i, j) by the sorted multiset of colour pairs (c(i, k), c(k, j))
+    over k within its member, which fixes the old colour too: only the
+    pair at k = i starts with a diagonal colour.  A pass is kept while
+    some member's class count grows, so a class split across members
+    only is not split."""
     ids: dict = {}
-    colour = [
-        [ids.setdefault((x, i == j), len(ids)) for j, x in enumerate(row)]
-        for i, row in enumerate(a.rows)
-    ]
-    classes = len(ids)
-    passes = 0
-    while classes < n * n:
-        columns = list(zip(*colour))
-        ids = {}
-        colour_next = [
-            [
-                ids.setdefault(
-                    (row[j], tuple(sorted(zip(row, columns[j])))), len(ids)
-                )
-                for j in range(n)
-            ]
-            for row in colour
+    colours = [
+        [
+            [ids.setdefault((x, i == j), len(ids)) for j, x in enumerate(row)]
+            for i, row in enumerate(a.rows)
         ]
-        passes += 1
-        if len(ids) == classes:
+        for a in mats
+    ]
+    counts = [_class_count(c) for c in colours]
+    passes: List[List[tuple]] = []
+    while any(k < a.n * a.n for k, a in zip(counts, mats)):
+        ids = {}
+        colours_next = []
+        for colour in colours:
+            columns = list(zip(*colour))
+            colours_next.append(
+                [
+                    [
+                        ids.setdefault(tuple(sorted(zip(row, col))), len(ids))
+                        for col in columns
+                    ]
+                    for row in colour
+                ]
+            )
+        counts_next = [_class_count(c) for c in colours_next]
+        if counts_next == counts:
             break
-        colour, classes = colour_next, len(ids)
-    return colour, passes
+        colours, counts = colours_next, counts_next
+        passes.append(list(ids))
+    return colours, passes
+
+
+def _class_count(colour: List[List[int]]) -> int:
+    return len({c for row in colour for c in row})
 
 
 @dataclass
@@ -83,13 +101,16 @@ class ClosureResult:
 def generated_double_algebra(a: Matrix) -> ClosureResult:
     """The smallest subspace containing I, J and a that is closed under
     both products."""
-    colour, passes = refine(a)
+    (colour,), passes = refine([a])
     cells: List[List[int]] = []
     for pos, c in enumerate(x for row in colour for x in row):
         if c == len(cells):
             cells.append([])
         cells[c].append(pos)
-    return ClosureResult(a.n, cells, passes)
+    # the pass that splits nothing counts as a round too, unless the
+    # partition became discrete first
+    rounds = len(passes) + (len(cells) < a.n * a.n)
+    return ClosureResult(a.n, cells, rounds)
 
 
 def is_full(a: Matrix) -> bool:

@@ -560,28 +560,11 @@ class _Parser:
             c = self.rational()
             nxt = self.peek()
             if nxt in ("x", "I", "J", "(") or nxt.isdigit():
-                return Scaled(c, self.primary_with_postfix())
+                return Scaled(c, self.postfix())
             return Scaled(c, C_ONE)
         if ch == "":
             self.error("unexpected end of input")
         self.error("unknown token %r" % ch)
-
-    def primary_with_postfix(self) -> DPoly:
-        out = self.primary()
-        while True:
-            ch = self.peek()
-            if ch == "'":
-                self.pos += 1
-                out = involution(out)
-            elif ch == "^":
-                self.pos += 1
-                if self.peek() == ".":
-                    self.pos += 1
-                    out = circ_power(out, self.nat())
-                else:
-                    out = bullet_power(out, self.nat())
-            else:
-                return out
 
 
 def parse(text: str) -> DPoly:

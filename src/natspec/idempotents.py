@@ -6,24 +6,28 @@ entry positions; those indicators are its primitive idempotents.  This
 module reads them off a generated double algebra, and builds *universal*
 bases: single lists of double polynomials whose evaluations at every
 member of a finite family of matrices yield that member's primitive
-idempotents, together with the strictification (duplicate-killing) and
-involution-closure constructions needed by the spectrum pipeline.
+idempotents, and their involution closure for the spectrum pipeline.
 
-The subset-product atoms are exponential in the number of building
-polynomials if materialized naively; everything here works instead on
-realized value partitions, and atom polynomials only ever multiply a
-small distinguishing subset of factors chosen to separate the realized
-profiles.  Evaluations agree with the full products on every family
-member.
+The universal basis of the members' generated double algebras is a
+view on the refinement kernel `closure.refine` run on the whole family:
+its atoms are the classes of the stable partition, with class names
+shared across members.  The subset-product atoms are exponential in
+the number of building polynomials if materialized naively; atom
+polynomials here only multiply a small distinguishing subset of
+factors chosen to separate the realized classes, and their evaluations
+agree with the full products on every family member.  For a symmetric
+family the partition is closed under transpose, so the involution
+closure is a lookup of each class's transpose class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .closure import ClosureResult
+from .closure import ClosureResult, refine
 from .dpoly import (
     B_ONE,
     C_ONE,
@@ -44,7 +48,7 @@ from .dpoly import (
     parse,
     proj_poly,
 )
-from .exact import Matrix, Scalar, scalar_is_zero
+from .exact import Matrix
 
 
 class IdempotentError(ValueError):
@@ -171,54 +175,7 @@ def check_basis(basis: IdempotentBasis) -> List[str]:
     return problems
 
 
-# -- strictification --------------------------------------------------
-
-def _strictify_with_values(
-    polys: Sequence[DPoly], value_rows: List[List[Matrix]]
-) -> Tuple[List[DPoly], List[List[Matrix]]]:
-    """c_i = b_i - sum_{j<i} b_i o c_j, with the sum restricted to the
-    j that are actually non-orthogonal to b_i somewhere in the family
-    (the dropped terms evaluate to zero on every member, so values are
-    unchanged).  value_rows[i][m] = value of polys[i] on member m."""
-    members = range(len(value_rows[0])) if value_rows else range(0)
-    out_polys: List[DPoly] = []
-    out_vals: List[List[Matrix]] = []
-    for i, b in enumerate(polys):
-        hits = []
-        new_vals = list(value_rows[i])
-        for j in range(len(out_polys)):
-            prods = [
-                value_rows[i][m].hadamard(out_vals[j][m]) for m in members
-            ]
-            if any(not p.is_zero() for p in prods):
-                hits.append(j)
-                new_vals = [v - p for v, p in zip(new_vals, prods)]
-        if hits:
-            terms: List[DPoly] = [b]
-            terms.extend(Scaled(-1, Circ(b, out_polys[j])) for j in hits)
-            out_polys.append(Sum(terms))
-        else:
-            out_polys.append(b)
-        out_vals.append(new_vals)
-    return out_polys, out_vals
-
-
-def strictify(polys: Sequence[DPoly], family: Sequence[Matrix]) -> List[DPoly]:
-    """Convert a weak universal basis (values may repeat within a
-    member) into a strict one by zeroing later duplicates."""
-    value_rows = [[eval_dpoly(b, a) for a in family] for b in polys]
-    out, _ = _strictify_with_values(polys, value_rows)
-    return out
-
-
 # -- universal basis from explicit building polynomials ---------------
-
-def _sorted_scalars(values) -> List[Scalar]:
-    def key(x):
-        return Fraction(x)
-
-    return sorted(values, key=key)
-
 
 def universal_basis(
     family: Sequence[Matrix], polys: Sequence[DPoly]
@@ -243,7 +200,7 @@ def universal_basis(
             for r in v.rows:
                 for x in r:
                     lam.add(Fraction(x))
-    lambdas = _sorted_scalars(lam)
+    lambdas = sorted(lam)
     # C, ordered by (poly index, value index)
     c_polys: List[DPoly] = []
     c_meta: List[Tuple[int, int]] = []
@@ -283,153 +240,75 @@ def universal_basis(
     return IdempotentBasis(family_size=len(family), entries=entries)
 
 
-# -- full universal basis by product filtration ------------------------
+# -- full universal basis on the refinement kernel ---------------------
 
-def _partition_key(vals: List[Matrix], n: int):
-    """Partition of positions induced by a list of 0/1 matrices."""
-    groups: Dict[tuple, List[int]] = {}
-    for pos in range(n * n):
-        i, j = divmod(pos, n)
-        sig = tuple(v.rows[i][j] for v in vals)
-        groups.setdefault(sig, []).append(pos)
-    return frozenset(tuple(g) for g in groups.values())
-
-
-def universal_basis_full(
-    family: Sequence[Matrix], depth_cap: int = 12
-) -> IdempotentBasis:
+def universal_basis_full(family: Sequence[Matrix]) -> IdempotentBasis:
     """A universal idempotent basis for the *generated double algebras*
-    of the family members: alternates pairwise matrix products with
-    Hadamard-atom refinement until every member's position partition
-    stabilizes.  Atom polynomials use distinguishing subsets of the
-    product projections, so their evaluations match the full
-    subset-product definition on every family member."""
-    if not family:
-        raise IdempotentError("empty family")
+    of the family members: the classes of the family's stable 2-WL
+    partition (`closure.refine`, class names shared across members).
+    The depth-0 atoms are those of `universal_basis(family, [X, I])`;
+    each split pass builds its atom polynomials from the previous
+    pass's, as products of projections of b_k * b_l onto the counts
+    that tell its key from the others, so their evaluations match the
+    full subset-product definition on every family member."""
+    polys = [e.dpoly for e in universal_basis(family, [X, B_ONE]).entries]
+    colours, passes = refine(family)
+    for keys in passes:
+        polys = _split_polys(polys, keys)
     n = family[0].n
-    if any(a.n != n for a in family):
-        raise IdempotentError("family members must share a dimension")
+    entries = [BasisEntry(p, []) for p in polys]
+    for colour in colours:
+        cells = [[[0] * n for _ in range(n)] for _ in entries]
+        for i, row in enumerate(colour):
+            for j, c in enumerate(row):
+                cells[c][i][j] = 1
+        for e, rows in zip(entries, cells):
+            e.values.append(Matrix(rows))
+    return IdempotentBasis(len(family), entries, depth=len(passes))
 
-    basis = universal_basis(family, [X, B_ONE])
-    prev_parts = [
-        _partition_key(basis.values_on(m), n)
-        for m in range(len(family))
+
+def _split_polys(polys: List[DPoly], keys: List[tuple]) -> List[DPoly]:
+    """Atom polynomials of one split pass.  A key is a sorted tuple of
+    colour pairs (k, l) of the previous pass; its class is where the
+    projection of b_k * b_l onto the pair's count is 1.  Each atom
+    multiplies, in triple order, the smallest triple (k, l, count)
+    telling its key from each other key that the triples chosen so far
+    do not, or the complement of that projection."""
+    profiles = [
+        frozenset(
+            (k, l, Fraction(len(list(run))))
+            for (k, l), run in groupby(key)
+        )
+        for key in keys
     ]
-    for depth in range(1, depth_cap + 1):
-        nxt = _refine_by_products(family, basis)
-        parts = [
-            _partition_key(nxt.values_on(m), n) for m in range(len(family))
-        ]
-        if parts == prev_parts:
-            basis.stabilized = True
-            basis.depth = depth - 1
-            return basis
-        basis = nxt
-        prev_parts = parts
-    basis.stabilized = False
-    basis.depth = depth_cap
-    basis.diagnostics.append(
-        "depth cap %d reached before stabilization" % depth_cap
-    )
-    return basis
+    lambdas = sorted({Fraction(0)} | {x for p in profiles for _, _, x in p})
+    proj: Dict[tuple, DPoly] = {}
 
+    def c_poly(t: tuple) -> DPoly:
+        if t not in proj:
+            k, l, x = t
+            proj[t] = compose(proj_poly(lambdas, x), Bullet(polys[k], polys[l]))
+        return proj[t]
 
-def _refine_by_products(
-    family: Sequence[Matrix], basis: IdempotentBasis
-) -> IdempotentBasis:
-    """One filtration round: atoms of the Hadamard algebras generated
-    by all pairwise matrix products of the current atoms."""
-    n = family[0].n
-    atoms = basis.entries
-    # per member: product matrices for pairs of atoms nonzero there
-    member_products: List[Dict[Tuple[int, int], Matrix]] = []
-    lam = {Fraction(0)}
-    for m in range(len(family)):
-        nz = [
-            k for k, e in enumerate(atoms) if not e.values[m].is_zero()
-        ]
-        prods = {}
-        for k in nz:
-            vk = atoms[k].values[m]
-            for l in nz:
-                prods[(k, l)] = vk.matmul(atoms[l].values[m])
-        member_products.append(prods)
-        for p in prods.values():
-            for r in p.rows:
-                for x in r:
-                    lam.add(Fraction(x))
-    lambdas = _sorted_scalars(lam)
-
-    # sparse profile of a position: nonzero product entries there.
-    # Pairs that are zero matrices on a member contribute the implicit
-    # entry 0 everywhere, so equal sparse keys mean equal full profiles
-    # even across members.
-    profiles: Dict[frozenset, dict] = {}
-    order: List[frozenset] = []
-    for m in range(len(family)):
-        pos_keys = [[] for _ in range(n * n)]
-        for (k, l), p in member_products[m].items():
-            for i in range(n):
-                for j in range(n):
-                    x = Fraction(p.rows[i][j])
-                    if x:
-                        pos_keys[i * n + j].append((k, l, x))
-        for pos in range(n * n):
-            key = frozenset(pos_keys[pos])
-            if key not in profiles:
-                profiles[key] = {"first": (m, pos), "positions": {}}
-                order.append(key)
-            profiles[key]["positions"].setdefault(m, []).append(pos)
-    order.sort(key=lambda k: profiles[k]["first"])
-
-    # distinguishing subset of projection triples per atom
-    proj_cache: Dict[Tuple[int, int, Fraction], DPoly] = {}
-
-    def c_poly(k: int, l: int, x: Fraction) -> DPoly:
-        key = (k, l, x)
-        if key not in proj_cache:
-            proj_cache[key] = compose(
-                proj_poly(lambdas, x),
-                Bullet(atoms[k].dpoly, atoms[l].dpoly),
-            )
-        return proj_cache[key]
-
-    def in_profile(key: frozenset, triple) -> bool:
-        k, l, x = triple
-        if x:
-            return triple in key
-        return not any(tk == k and tl == l for tk, tl, _ in key)
-
-    def tri_order(t):
-        return (t[0], t[1], t[2])
-
-    entries = []
-    for key in order:
-        chosen: List[tuple] = []
-        for other in order:
-            if other is key:
-                continue
-            if any(
-                in_profile(key, t) != in_profile(other, t) for t in chosen
+    out = []
+    for profile in profiles:
+        chosen: set = set()
+        for other in profiles:
+            if other is profile or any(
+                (t in profile) != (t in other) for t in chosen
             ):
                 continue
-            diff = sorted(key.symmetric_difference(other), key=tri_order)
-            chosen.append(diff[0])
-        factors = []
-        for t in sorted(set(chosen), key=tri_order):
-            c = c_poly(*t)
-            factors.append(
-                c if in_profile(key, t) else Sum((C_ONE, Scaled(-1, c)))
+            chosen.add(min(profile ^ other))
+        out.append(
+            circ_product(
+                [
+                    c_poly(t) if t in profile
+                    else Sum((C_ONE, Scaled(-1, c_poly(t))))
+                    for t in sorted(chosen)
+                ]
             )
-        d = circ_product(factors)
-        vals = []
-        for m in range(len(family)):
-            rows = [[0] * n for _ in range(n)]
-            for pos in profiles[key]["positions"].get(m, ()):
-                rows[pos // n][pos % n] = 1
-            vals.append(Matrix(rows))
-        entries.append(BasisEntry(d, vals))
-    return IdempotentBasis(family_size=len(family), entries=entries)
+        )
+    return out
 
 
 # -- involution closure ------------------------------------------------
@@ -437,67 +316,37 @@ def _refine_by_products(
 def involution_close(
     basis: IdempotentBasis, family: Sequence[Matrix]
 ) -> IdempotentBasis:
-    """A strict universal basis closed under the involution: built from
-    the ordered weak sequence (all b o sigma(b) first, then the b,
-    sigma(b) pairs), strictified, with the transpose-pairing
-    permutation recovered and verified on the family."""
+    """The strict universal basis closed under the involution sigma,
+    for a symmetric family: b o sigma(b) for each atom b that is its
+    own transpose, then b, sigma(b) for each atom b whose transpose is
+    a later atom, with the transpose pairing.  Transpose reverses the
+    matrix product and fixes A, I and J, so it maps every class of a
+    stable partition to a class; a basis whose atoms it does not map to
+    atoms raises IdempotentError."""
     for a in family:
         if not a.is_symmetric():
             raise IdempotentError("family member is not symmetric")
-    polys = [e.dpoly for e in basis.entries]
-    if any(p is None for p in polys):
+    entries = basis.entries
+    if any(e.dpoly is None for e in entries):
         raise IdempotentError("basis entries lack defining polynomials")
-    sig = [involution(p) for p in polys]
-    weak: List[DPoly] = [Circ(p, s) for p, s in zip(polys, sig)]
-    weak_vals: List[List[Matrix]] = [
-        [
-            e.values[m].hadamard(e.values[m].transpose())
-            for m in range(len(family))
-        ]
-        for e in basis.entries
-    ]
-    for i, (p, s) in enumerate(zip(polys, sig)):
-        weak.append(p)
-        weak_vals.append(list(basis.entries[i].values))
-        weak.append(s)
-        weak_vals.append(
-            [v.transpose() for v in basis.entries[i].values]
-        )
-    strict, strict_vals = _strictify_with_values(weak, weak_vals)
-
-    keep = [
-        i
-        for i in range(len(strict))
-        if any(not v.is_zero() for v in strict_vals[i])
-    ]
-    entries = [
-        BasisEntry(strict[i], strict_vals[i]) for i in keep
-    ]
-    out = IdempotentBasis(family_size=len(family), entries=entries)
-
-    problems = check_basis(out)
+    problems = check_basis(basis)
     if problems:
-        out.diagnostics.extend(
-            ["weak universality failed: " + p for p in problems]
-        )
-        return out
-
-    # recover the transpose pairing from the values
-    pairing: List[Optional[int]] = [None] * len(entries)
-    index = {}
-    for i, e in enumerate(entries):
-        index[tuple(e.values)] = i
-    for i, e in enumerate(entries):
-        target = tuple(v.transpose() for v in e.values)
-        j = index.get(target)
-        if j is None:
-            out.diagnostics.append(
-                "no transpose partner for entry %d" % i
+        raise IdempotentError("not a universal basis: " + problems[0])
+    index = {tuple(e.values): k for k, e in enumerate(entries)}
+    tau = [index.get(tuple(v.transpose() for v in e.values)) for e in entries]
+    if None in tau:
+        raise IdempotentError("basis is not closed under transpose")
+    out = [
+        BasisEntry(Circ(e.dpoly, involution(e.dpoly)), list(e.values))
+        for k, e in enumerate(entries)
+        if tau[k] == k
+    ]
+    pairing = list(range(len(out)))
+    for k, e in enumerate(entries):
+        if tau[k] > k:
+            pairing += [len(out) + 1, len(out)]
+            out.append(BasisEntry(e.dpoly, list(e.values)))
+            out.append(
+                BasisEntry(involution(e.dpoly), list(entries[tau[k]].values))
             )
-            return out
-        pairing[i] = j
-    if any(pairing[pairing[i]] != i for i in range(len(entries))):
-        out.diagnostics.append("transpose pairing is not an involution")
-        return out
-    out.involution_pairing = [int(p) for p in pairing]
-    return out
+    return IdempotentBasis(len(family), out, involution_pairing=pairing)

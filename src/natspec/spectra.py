@@ -31,7 +31,6 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .closure import generated_double_algebra
 from .dpoly import (
     Bullet,
     DPoly,
@@ -338,18 +337,18 @@ def build_ds_dpoly(family: Sequence[Graph]) -> DsBundle:
     if any(g.n != n for g in family):
         raise SpectrumError("family members must share a vertex count")
     mats = [g.adjacency_matrix() for g in family]
-    base = universal_basis_full(mats)
-    basis = involution_close(base, mats)
-    if basis.involution_pairing is None:
-        raise SpectrumError(
-            "involution closure failed: " + "; ".join(basis.diagnostics)
-        )
+    basis = involution_close(universal_basis_full(mats), mats)
     sigma = basis.involution_pairing
     entries = basis.entries
     members = range(len(mats))
+    nonzero = [
+        {k for k, e in enumerate(entries) if not e.values[m].is_zero()}
+        for m in members
+    ]
 
     # D, indexed by the symmetrization-orbit of the pair (i, j):
-    # sigma_x(b_i * x * b_j) = sigma(b_j) * x * sigma(b_i)
+    # sigma_x(b_i * x * b_j) = sigma(b_j) * x * sigma(b_i); b_i A b_j
+    # is zero on a member where b_i or b_j is
     probes: List[DPoly] = []
     probe_values: List[List[Matrix]] = []
     seen = set()
@@ -361,10 +360,12 @@ def build_ds_dpoly(family: Sequence[Graph]) -> DsBundle:
             seen.add(orbit)
             vals = []
             for m in members:
-                bi = entries[i].values[m]
-                bj = entries[j].values[m]
-                v = bi.matmul(mats[m]).matmul(bj)
-                vals.append(v + v.transpose())
+                if i in nonzero[m] and j in nonzero[m]:
+                    v = entries[i].values[m].matmul(mats[m])
+                    v = v.matmul(entries[j].values[m])
+                    vals.append(v + v.transpose())
+                else:
+                    vals.append(Matrix.zero(n))
             if all(v.is_zero() for v in vals):
                 continue
             c = Bullet(entries[i].dpoly, Bullet(X, entries[j].dpoly))
@@ -377,7 +378,8 @@ def build_ds_dpoly(family: Sequence[Graph]) -> DsBundle:
             Scaled(w, d) for w, d in zip(plan.weights, probes)
         )
     )
-    full = [generated_double_algebra(a).full for a in mats]
+    # a member is full when the family partition has n^2 classes on it
+    full = [len(nz) == n * n for nz in nonzero]
     return DsBundle(
         n=n,
         p=p,

@@ -252,6 +252,19 @@ def test_criterion_5_ds_pipeline():
     for n, relabels_full_eval in ((4, 10), (5, None)):
         family = enumerate_graphs(n)
         bundle = build_ds_dpoly(family)
+        problems.extend(
+            "n=%d: %s" % (n, p) for p in check_basis(bundle.basis)
+        )
+        pairing = bundle.basis.involution_pairing
+        entries = bundle.basis.entries
+        for m in range(len(family)):
+            if any(
+                e.values[m].transpose() != entries[pairing[k]].values[m]
+                for k, e in enumerate(entries)
+            ):
+                problems.append(
+                    "n=%d member %d: transpose pairing wrong" % (n, m)
+                )
         specs = [
             spectrum_of(merged_value(bundle, m)) for m in range(len(family))
         ]

@@ -170,3 +170,15 @@ class TestExperiment:
         assert data["family_size"] == 4
         assert data["spectrum_collisions"] == []
         assert data["full_pairs_separated"] is True
+
+    def test_ds_family_ignores_trials(self, tmp_path):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text(
+            "\n".join(graph6_emit(g) for g in enumerate_graphs(3)) + "\n"
+        )
+        code, data = run(
+            ["experiment", "--mode", "ds_family", "--corpus", str(corpus), "--trials", "0"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert data["family_size"] == 4

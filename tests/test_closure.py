@@ -9,6 +9,7 @@ from natspec.closure import (
     dimension_bounds_report,
     generated_double_algebra,
     is_full,
+    refine,
 )
 from natspec.exact import Matrix
 from natspec.graphs import (
@@ -166,6 +167,28 @@ class TestGeneratedAlgebra:
                 rng.shuffle(perm)
                 res = generated_double_algebra(g.relabel(perm).adjacency_matrix())
                 assert (res.dim, res.full) == (base.dim, base.full), (n, perm)
+
+
+class TestFamilyRefine:
+    def test_class_names_shared_across_members(self):
+        rng = random.Random(20260823)
+        a = random_gnp_half(8, derive_seed(7, 46)).adjacency_matrix()
+        perm = list(range(8))
+        rng.shuffle(perm)
+        b = Matrix([[a.rows[perm[i]][perm[j]] for j in range(8)] for i in range(8)])
+        (ca, cb), passes = refine([a, b])
+        assert refine([a]) == ([ca], passes)
+        assert cb == [[ca[perm[i]][perm[j]] for j in range(8)] for i in range(8)]
+
+    def test_split_pass_keys(self):
+        # P3: one pass splits the middle vertex from the ends and each
+        # edge by its direction; a key is its class's sorted multiset
+        # of colour pairs, here the middle diagonal's: itself, and an
+        # edge and its reverse twice
+        (colour,), passes = refine([path_graph(3).adjacency_matrix()])
+        assert colour == [[0, 1, 2], [3, 4, 3], [2, 1, 0]]
+        assert len(passes) == 1 and len(passes[0]) == 5
+        assert passes[0][4] == ((0, 0), (1, 1), (1, 1))
 
 
 class TestOracleDifferential:

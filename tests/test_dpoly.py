@@ -81,6 +81,18 @@ class TestParser:
             Scaled(Fraction(1, 2), Sum((X, Scaled(-1, C_ONE)))),
         )
 
+    def test_scalar_takes_postfix_operators(self):
+        # a scalar's operand takes the involution and powers before the
+        # scaling applies
+        assert structurally_equal(parse("2 x'"), Scaled(2, X))
+        assert structurally_equal(
+            parse("2 (x*J)'"), Scaled(2, Bullet(C_ONE, X))
+        )
+        assert structurally_equal(parse("3 x^2"), Scaled(3, Bullet(X, X)))
+        assert structurally_equal(
+            parse("1/2 x^.2"), Scaled(Fraction(1, 2), Circ(X, X))
+        )
+
     def test_bare_rational_is_multiple_of_j(self):
         assert structurally_equal(parse("3"), Scaled(3, C_ONE))
 

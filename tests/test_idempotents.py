@@ -5,16 +5,21 @@ from fractions import Fraction
 import pytest
 
 from natspec.closure import generated_double_algebra
-from natspec.dpoly import B_ONE, X, eval_dpoly, proj_poly, circ_spectrum
+from natspec.dpoly import B_ONE, X, eval_dpoly, parse, proj_poly, circ_spectrum
 from natspec.exact import Matrix
-from natspec.graphs import complete_graph, enumerate_graphs, path_graph, petersen_graph
+from natspec.graphs import (
+    complete_graph,
+    enumerate_graphs,
+    graph6_parse,
+    path_graph,
+    petersen_graph,
+)
 from natspec.idempotents import (
     IdempotentBasis,
     IdempotentError,
     check_basis,
     involution_close,
     primitive_circ_idempotents,
-    strictify,
     universal_basis,
     universal_basis_full,
 )
@@ -26,6 +31,30 @@ from closure_oracle import (
     profile_idempotents,
 )
 from conftest import random_zero_one_symmetric
+from idempotents_oracle import (
+    oracle_involution_close,
+    oracle_universal_basis_full,
+    strictify,
+)
+
+
+def relabeled(a, perm):
+    return Matrix([[a.rows[perm[i]][perm[j]] for j in range(a.n)] for i in range(a.n)])
+
+
+def random_families(rng, count):
+    """Seeded symmetric 0/1 families, n = 3..5 with 2-5 members, about
+    half of them holding a relabeled copy of an earlier member."""
+    out = []
+    for t in range(count):
+        n = 3 + t % 3
+        fam = [random_zero_one_symmetric(rng, n) for _ in range(rng.randint(2, 5))]
+        if t % 2:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            fam[-1] = relabeled(fam[rng.randrange(len(fam) - 1)], perm)
+        out.append(fam)
+    return out
 
 
 class TestPrimitiveIdempotents:
@@ -136,6 +165,9 @@ class TestUniversalBasis:
 
 
 class TestStrictify:
+    """The oracle's strictification, which the involution closure of
+    `natspec.idempotents` is tested against."""
+
     def test_removes_duplicates(self):
         fam = [path_graph(3).adjacency_matrix()]
         polys = [B_ONE, B_ONE, X]
@@ -187,6 +219,30 @@ class TestUniversalBasisFull:
             for m, a in enumerate(fam):
                 assert eval_dpoly(e.dpoly, a) == e.values[m]
 
+    def test_class_split_across_members_only_stays_merged(self):
+        # the zero matrix and K3 share the class of I, which the next
+        # pass would split between the members only
+        fam = [Matrix.zero(3), complete_graph(3).adjacency_matrix()]
+        basis = universal_basis_full(fam)
+        assert len(basis.entries) == 3
+        assert basis.depth == 0
+        assert basis.stabilized
+
+    def test_atom_counts_and_depths(self):
+        for n, atoms, depth in ((3, 11, 1), (4, 24, 1)):
+            fam = [g.adjacency_matrix() for g in enumerate_graphs(n)]
+            basis = universal_basis_full(fam)
+            assert (len(basis.entries), basis.depth) == (atoms, depth)
+
+    def test_matches_product_oracle(self, rng):
+        fams = [[g.adjacency_matrix() for g in enumerate_graphs(n)] for n in range(1, 5)]
+        fams += random_families(rng, 6)
+        for fam in fams:
+            assert (
+                universal_basis_full(fam).to_json()
+                == oracle_universal_basis_full(fam).to_json()
+            )
+
     def test_json_round_trip(self):
         fam = [g.adjacency_matrix() for g in enumerate_graphs(2)]
         basis = universal_basis_full(fam)
@@ -213,6 +269,23 @@ class TestInvolutionClose:
         fam = [g.adjacency_matrix() for g in enumerate_graphs(3)]
         closed = involution_close(universal_basis_full(fam), fam)
         assert check_basis(closed) == []
+
+    def test_not_closed_under_transpose_rejected(self):
+        # the atoms of x*J on P3 are rows, whose transposes are columns
+        fam = [path_graph(3).adjacency_matrix()]
+        basis = universal_basis(fam, [parse("x*J")])
+        with pytest.raises(IdempotentError):
+            involution_close(basis, fam)
+
+    def test_matches_strictification_oracle(self, rng):
+        fams = [[g.adjacency_matrix() for g in enumerate_graphs(n)] for n in range(1, 5)]
+        fams.append([graph6_parse(s).adjacency_matrix() for s in ("E\\Q?", "EZq?")])
+        fams += random_families(rng, 20)
+        for fam in fams:
+            got = involution_close(universal_basis_full(fam), fam)
+            want = oracle_involution_close(oracle_universal_basis_full(fam), fam)
+            assert want.involution_pairing is not None
+            assert got.to_json() == want.to_json()
 
     def test_asymmetric_rejected(self):
         m = Matrix([[0, 1], [0, 0]])

@@ -12,8 +12,10 @@ from natspec.graphs import (
     cycle_graph,
     empty_graph,
     enumerate_graphs,
+    graph6_parse,
     path_graph,
 )
+from natspec.closure import is_full
 from natspec.spectra import (
     MergePlan,
     Spectrum,
@@ -213,6 +215,15 @@ class TestDsPipeline:
             ds_compare(path_graph(3), path_graph(3).relabel(perm), bundle.p)
             == "equal_spectrum"
         )
+
+    def test_full_members_read_from_the_family_partition(self):
+        # two full 6-vertex graphs and the non-full 6-cycle
+        fam = [graph6_parse(s) for s in ("E\\Q?", "EZq?")] + [cycle_graph(6)]
+        bundle = build_ds_dpoly(fam)
+        assert bundle.full_members == [
+            is_full(g.adjacency_matrix()) for g in fam
+        ]
+        assert bundle.full_members == [True, True, False]
 
     def test_fingerprint_order_independent(self):
         fam = enumerate_graphs(3)
