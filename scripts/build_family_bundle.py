@@ -2,15 +2,16 @@
 """Build a determining-spectrum bundle for the exhaustive family on n
 vertices and report separation statistics.
 
-Writes the bundle JSON (reusable with `natspec ds-check`) and prints
-how many pairs of non-isomorphic members share a merged spectrum."""
+Writes the bundle JSON (the same bundle `natspec ds-build` writes for
+that corpus, reusable with `natspec ds-check`) and prints how many
+pairs of non-isomorphic members share a merged spectrum."""
 
 import argparse
 import time
 
 from natspec.cli import _bundle_to_json, _emit
-from natspec.graphs import enumerate_graphs, graph6_emit
-from natspec.spectra import build_ds_dpoly, merged_value, spectrum_of
+from natspec.graphs import enumerate_graphs
+from natspec.spectra import build_ds_dpoly
 
 
 def main() -> None:
@@ -26,7 +27,8 @@ def main() -> None:
         "built bundle for %d graphs in %.1fs (%d probes)"
         % (len(family), time.time() - t0, len(bundle.probes))
     )
-    specs = [spectrum_of(merged_value(bundle, i)) for i in range(len(family))]
+    data = _bundle_to_json(bundle, family)
+    specs = data["member_spectra"]
     collisions = [
         (i, j)
         for i in range(len(family))
@@ -35,10 +37,8 @@ def main() -> None:
     ]
     print("spectrum collisions among non-isomorphic members:", collisions)
     print("full-dimension members:", sum(bundle.full_members))
+    print("stats:", data["stats"])
     if args.out:
-        data = _bundle_to_json(bundle)
-        data["member_graph6"] = [graph6_emit(g) for g in family]
-        data["member_spectra"] = [s.to_json() for s in specs]
         _emit(data, args.out)
         print("wrote", args.out)
 

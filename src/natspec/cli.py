@@ -30,7 +30,7 @@ from .certify import (
     reconstruct,
 )
 from .closure import dimension_bounds_report, is_full
-from .dpoly import ParseError, dpoly_to_json, node_count, parse, print_dpoly
+from .dpoly import ParseError, dpoly_from_json, dpoly_to_json, node_count, parse
 from .graphs import (
     Graph,
     GraphError,
@@ -40,19 +40,16 @@ from .graphs import (
     graph6_emit,
     graph6_parse,
     random_gnp_half,
-    refute_isomorphism,
     are_isomorphic,
 )
 from .spectra import (
     DsBundle,
-    MergePlan,
+    Spectrum,
     build_ds_dpoly,
-    family_fingerprint,
     natural_spectrum,
     spectrum_of,
     merged_value,
 )
-from .idempotents import IdempotentBasis
 
 
 EXIT_OK = 0
@@ -165,7 +162,30 @@ def _read_corpus(path: str) -> List[Graph]:
     return graphs
 
 
-def _bundle_to_json(bundle: DsBundle) -> dict:
+def _ds_stats(bundle: DsBundle, specs: List[Spectrum]) -> dict:
+    """Deterministic counters of a determining-spectrum build: atoms,
+    probes, distinct subterms of p, and the largest bit length of a
+    merged characteristic-polynomial coefficient."""
+    bits = [
+        max(abs(f.numerator).bit_length(), f.denominator.bit_length())
+        for s in specs
+        for f in map(Fraction, s.coeffs)
+    ]
+    return {
+        "atoms": len(bundle.basis.entries),
+        "probes": len(bundle.probes),
+        "p_nodes": node_count(bundle.p),
+        "max_coeff_bits": max(bits, default=0),
+    }
+
+
+def _member_spectra(bundle: DsBundle, family: List[Graph]) -> List[Spectrum]:
+    return [spectrum_of(merged_value(bundle, i)) for i in range(len(family))]
+
+
+def _bundle_to_json(bundle: DsBundle, family: List[Graph]) -> dict:
+    # per-member spectra, so ds-check does not recompute the family
+    specs = _member_spectra(bundle, family)
     return {
         "version": __version__,
         "n": bundle.n,
@@ -176,6 +196,9 @@ def _bundle_to_json(bundle: DsBundle) -> dict:
         "probes": [dpoly_to_json(d) for d in bundle.probes],
         "basis": bundle.basis.to_json(),
         "full_members": list(bundle.full_members),
+        "member_graph6": [graph6_emit(g) for g in family],
+        "member_spectra": [s.to_json() for s in specs],
+        "stats": _ds_stats(bundle, specs),
     }
 
 
@@ -188,15 +211,7 @@ def cmd_ds_build(args) -> int:
         return _fail("empty corpus", EXIT_INPUT)
     if len({g.n for g in family}) != 1:
         return _fail("corpus mixes vertex counts", EXIT_INPUT)
-    bundle = build_ds_dpoly(family)
-    data = _bundle_to_json(bundle)
-    # per-member spectra, so ds-check does not recompute the family
-    data["member_graph6"] = [graph6_emit(g) for g in family]
-    data["member_spectra"] = [
-        spectrum_of(merged_value(bundle, i)).to_json()
-        for i in range(len(family))
-    ]
-    _emit(data, args.out)
+    _emit(_bundle_to_json(build_ds_dpoly(family), family), args.out)
     return EXIT_OK
 
 
@@ -212,8 +227,6 @@ def cmd_ds_check(args) -> int:
         return _fail("bundle fingerprint mismatch", EXIT_INPUT)
     if g1.n != data["n"] or g2.n != data["n"]:
         return _fail("graph size does not match the bundle", EXIT_INPUT)
-    from .dpoly import dpoly_from_json
-
     p = dpoly_from_json(data["p_dag"])
     s1 = natural_spectrum(p, g1)
     s2 = natural_spectrum(p, g2)
@@ -285,9 +298,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             raise ValueError("ds_family mode needs --corpus")
         family = _read_corpus(cfg.corpus)
         bundle = build_ds_dpoly(family)
-        specs = [
-            spectrum_of(merged_value(bundle, i)) for i in range(len(family))
-        ]
+        specs = _member_spectra(bundle, family)
         full = bundle.full_members
         collisions = [
             [i, j]
@@ -304,6 +315,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         report["full_pairs_separated"] = not any(
             full[i] and full[j] for i, j in collisions
         )
+        report["stats"] = _ds_stats(bundle, specs)
     else:
         raise ValueError("unknown mode %r" % cfg.mode)
     return report

@@ -23,25 +23,27 @@ yields the atoms of the family's universal idempotent basis
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .exact import Matrix
 from .graphs import Graph, distance_and_diameter
 
 
-def refine(
-    mats: Sequence[Matrix],
-) -> Tuple[List[List[List[int]]], List[List[tuple]]]:
+def refine(mats: Sequence[Matrix]) -> Iterator[Tuple[list, Optional[list]]]:
     """The coarsest stable refinement of the colouring (a_ij, i == j)
     of every member's positions, with class names shared across
-    members: each member's colours, numbered in order of first
-    (member, row-major position), and for each pass that split a class
-    the key of each of its classes, in colour order.  A pass recolours
-    (i, j) by the sorted multiset of colour pairs (c(i, k), c(k, j))
-    over k within its member, which fixes the old colour too: only the
-    pair at k = i starts with a diagonal colour.  A pass is kept while
-    some member's class count grows, so a class split across members
-    only is not split."""
+    members, pass by pass.  Yields each member's colours, numbered in
+    order of first (member, row-major position): first the initial
+    colouring with keys None, then after each pass that split a class
+    the key of each of its classes, in colour order; the last colours
+    yielded are stable.  A pass recolours (i, j) by the sorted multiset
+    of colour pairs (c(i, k), c(k, j)) over k within its member, which
+    fixes the old colour too: only the pair at k = i starts with a
+    diagonal colour.  A pass is kept while some member's class count
+    grows, so a class split across members only is not split.  A
+    consumer that drops each pass's keys lets them be freed before the
+    next pass."""
     ids: dict = {}
     colours = [
         [
@@ -51,7 +53,7 @@ def refine(
         for a in mats
     ]
     counts = [_class_count(c) for c in colours]
-    passes: List[List[tuple]] = []
+    yield colours, None
     while any(k < a.n * a.n for k, a in zip(counts, mats)):
         ids = {}
         colours_next = []
@@ -68,10 +70,9 @@ def refine(
             )
         counts_next = [_class_count(c) for c in colours_next]
         if counts_next == counts:
-            break
+            return
         colours, counts = colours_next, counts_next
-        passes.append(list(ids))
-    return colours, passes
+        yield colours, list(ids)
 
 
 def _class_count(colour: List[List[int]]) -> int:
@@ -101,7 +102,10 @@ class ClosureResult:
 def generated_double_algebra(a: Matrix) -> ClosureResult:
     """The smallest subspace containing I, J and a that is closed under
     both products."""
-    (colour,), passes = refine([a])
+    # take the colours only, so that no pass's keys stay referenced
+    # while the next pass runs
+    for passes, (colour,) in enumerate(map(itemgetter(0), refine([a]))):
+        pass
     cells: List[List[int]] = []
     for pos, c in enumerate(x for row in colour for x in row):
         if c == len(cells):
@@ -109,7 +113,7 @@ def generated_double_algebra(a: Matrix) -> ClosureResult:
         cells[c].append(pos)
     # the pass that splits nothing counts as a round too, unless the
     # partition became discrete first
-    rounds = len(passes) + (len(cells) < a.n * a.n)
+    rounds = passes + (len(cells) < a.n * a.n)
     return ClosureResult(a.n, cells, rounds)
 
 

@@ -18,17 +18,24 @@ literal juxtaposed with an operand is a scalar multiple ("2 x"); a bare
 rational r abbreviates r J.  The postfix "'" applies the involution at
 parse time; `^k` and `^.k` expand to explicit product chains.
 
-Trees may share subtrees (they are DAGs in practice); all traversals
-here are iterative and memoize on node identity, so deeply shared
-expressions stay cheap to evaluate.
+Nodes are hash-consed (Filliatre & Conchon 2006): each distinct
+subterm is one node, so a polynomial is a DAG whose size is its number
+of distinct subterms, however large the tree it spells out.  All
+traversals here are iterative and visit each node once; evaluation
+compiles the DAG into a straight-line program over integer
+numerators and denominators.  Coefficients and evaluation are
+rational only.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Optional
 
-from .exact import GFp, Matrix, Scalar, format_scalar, parse_scalar
+from .exact import Matrix, Scalar, format_scalar, parse_scalar
 
 
 class DPolyError(ValueError):
@@ -41,13 +48,37 @@ class ParseError(DPolyError):
         self.position = position
 
 
-# -- AST -------------------------------------------------------------
+# -- AST (hash-consed) -------------------------------------------------
+
+# Every node is interned: building a node whose kind, exact coefficient
+# and children equal those of a live node returns that node, so node
+# identity is structural identity and a polynomial is a DAG with one
+# node per distinct subterm.  The table holds its nodes weakly.
+_NODES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
+def _intern(cls, key, **fields):
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_inv", None)
+        _NODES[key] = node
+    return node
+
 
 class DPoly:
-    """Base class; nodes compare by identity (use structurally_equal
-    for normalized structural comparison)."""
+    """Base class.  Nodes are interned, so two nodes are the same
+    object exactly when they have the same structure (use
+    structurally_equal for comparison up to normalization)."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__", "_inv")
+
+    def __setattr__(self, name, value):
+        if name != "_inv":
+            raise AttributeError("double polynomial nodes are immutable")
+        object.__setattr__(self, name, value)
 
     def __add__(self, other: "DPoly") -> "DPoly":
         return Sum((self, other))
@@ -62,44 +93,56 @@ class DPoly:
 class Var(DPoly):
     __slots__ = ()
 
+    def __new__(cls):
+        return _intern(cls, ("x",))
+
 
 class BulletOne(DPoly):
     __slots__ = ()
+
+    def __new__(cls):
+        return _intern(cls, ("I",))
 
 
 class CircOne(DPoly):
     __slots__ = ()
 
+    def __new__(cls):
+        return _intern(cls, ("J",))
+
 
 class Scaled(DPoly):
     __slots__ = ("coef", "body")
 
-    def __init__(self, coef: Scalar, body: DPoly):
-        self.coef = coef
-        self.body = body
+    def __new__(cls, coef: Scalar, body: DPoly):
+        if isinstance(coef, Fraction):
+            if coef.denominator == 1:
+                coef = coef.numerator
+        elif not isinstance(coef, int):
+            raise DPolyError("coefficient %r is not rational" % (coef,))
+        return _intern(cls, ("scaled", coef, body), coef=coef, body=body)
 
 
 class Sum(DPoly):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[DPoly]):
-        self.terms = tuple(terms)
+    def __new__(cls, terms: Iterable[DPoly]):
+        terms = tuple(terms)
+        return _intern(cls, ("sum",) + terms, terms=terms)
 
 
 class Bullet(DPoly):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: DPoly, right: DPoly):
-        self.left = left
-        self.right = right
+    def __new__(cls, left: DPoly, right: DPoly):
+        return _intern(cls, ("bullet", left, right), left=left, right=right)
 
 
 class Circ(DPoly):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: DPoly, right: DPoly):
-        self.left = left
-        self.right = right
+    def __new__(cls, left: DPoly, right: DPoly):
+        return _intern(cls, ("circ", left, right), left=left, right=right)
 
 
 X = Var()
@@ -221,99 +264,148 @@ def normalize(p: DPoly) -> DPoly:
 
 
 def structurally_equal(p: DPoly, q: DPoly) -> bool:
-    """Equality of normalized trees (sum order significant)."""
-    p = normalize(p)
-    q = normalize(q)
-    memo = {}
-    stack = [(p, q)]
-    while stack:
-        a, b = stack.pop()
-        key = (id(a), id(b))
-        if key in memo:
-            continue
-        memo[key] = True
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Scaled):
-            if Fraction(a.coef) != Fraction(b.coef):
-                return False
-            stack.append((a.body, b.body))
-        elif isinstance(a, Sum):
-            if len(a.terms) != len(b.terms):
-                return False
-            stack.extend(zip(a.terms, b.terms))
-        elif isinstance(a, (Bullet, Circ)):
-            stack.append((a.left, b.left))
-            stack.append((a.right, b.right))
-    return True
+    """Equality of normalized trees (sum order significant): since
+    nodes are interned, the same normalized node."""
+    return normalize(p) is normalize(q)
 
 
 def node_count(p: DPoly) -> int:
+    """Distinct subterms of p: the length of its DAG's node list."""
     return len(_postorder(p))
+
+
+def tree_size(p: DPoly) -> int:
+    """Nodes of p written out as a tree, each shared subterm once per
+    use."""
+    size = {}
+    for node in _postorder(p):
+        size[node] = 1 + sum(size[c] for c in _children(node))
+    return size[p]
 
 
 # -- evaluation ------------------------------------------------------
 
-def _coerce_coef(c: Scalar, sample: Scalar) -> Scalar:
-    if isinstance(sample, GFp) and not isinstance(c, GFp):
-        f = Fraction(c)
-        val = GFp(f.numerator, sample.p)
-        if f.denominator != 1:
-            val = val / GFp(f.denominator, sample.p)
-        return val
-    return c
+# Opcodes of the straight-line program eval_dpoly runs.
+_X, _I, _J, _SCALED, _SUM, _BULLET, _CIRC = range(7)
+
+
+def _compile(p: DPoly) -> list:
+    """The DAG's postorder (the node list dpoly_to_json writes) as a
+    straight-line program: instruction k computes node k into register
+    k from earlier registers."""
+    index = {}
+    prog = []
+    for k, node in enumerate(_postorder(p)):
+        index[node] = k
+        if isinstance(node, Var):
+            prog.append((_X,))
+        elif isinstance(node, BulletOne):
+            prog.append((_I,))
+        elif isinstance(node, CircOne):
+            prog.append((_J,))
+        elif isinstance(node, Scaled):
+            c = Fraction(node.coef)
+            prog.append((_SCALED, index[node.body], c.numerator, c.denominator))
+        elif isinstance(node, Sum):
+            prog.append((_SUM, [index[t] for t in node.terms]))
+        elif isinstance(node, Bullet):
+            prog.append((_BULLET, index[node.left], index[node.right]))
+        elif isinstance(node, Circ):
+            prog.append((_CIRC, index[node.left], index[node.right]))
+        else:
+            raise DPolyError("unknown node %r" % node)
+    return prog
+
+
+def _reduced(nums: list, den: int) -> tuple:
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
 
 
 def eval_dpoly(p: DPoly, a: Matrix) -> Matrix:
-    """Evaluate at a: x -> a, I -> identity, J -> all-ones, products
-    and sums structurally.  Shared subtrees are evaluated once."""
+    """Evaluate at a rational matrix a: x -> a, I -> identity, J ->
+    all-ones, products and sums structurally.  Each distinct subterm is
+    computed once, as a flat row-major list of integer numerators over
+    one positive denominator; only the result is built as a Matrix."""
     n = a.n
-    one = a.one_scalar()
-    z = a.zero_scalar()
-    ident = Matrix.identity(n, one, z)
-    allone = Matrix.ones(n, one)
-    zmat = Matrix.zero(n, z)
-
-    def make(node, kids):
-        if isinstance(node, Var):
-            return a
-        if isinstance(node, BulletOne):
-            return ident
-        if isinstance(node, CircOne):
-            return allone
-        if isinstance(node, Scaled):
-            return kids[0].scale(_coerce_coef(node.coef, one))
-        if isinstance(node, Sum):
-            out = zmat
-            for k in kids:
-                out = out + k
-            return out
-        if isinstance(node, Bullet):
-            return kids[0].matmul(kids[1])
-        if isinstance(node, Circ):
-            return kids[0].hadamard(kids[1])
-        raise DPolyError("unknown node %r" % node)
-
-    return _rebuild(p, make)
+    flat = [x for row in a.rows for x in row]
+    if not all(isinstance(x, (int, Fraction)) for x in flat):
+        raise DPolyError("double polynomials evaluate at rational matrices only")
+    den = lcm(*(Fraction(x).denominator for x in flat))
+    gen = ([int(x * den) for x in flat], den)
+    ident = ([int(i == j) for i in range(n) for j in range(n)], 1)
+    ones = ([1] * (n * n), 1)
+    regs: list = []
+    for ins in _compile(p):
+        op = ins[0]
+        if op == _X:
+            regs.append(gen)
+        elif op == _I:
+            regs.append(ident)
+        elif op == _J:
+            regs.append(ones)
+        elif op == _SCALED:
+            nums, d = regs[ins[1]]
+            regs.append(_reduced([v * ins[2] for v in nums], d * ins[3]))
+        elif op == _SUM:
+            terms = [regs[k] for k in ins[1]]
+            d = lcm(*(t[1] for t in terms))
+            acc = [0] * (n * n)
+            for nums, e in terms:
+                f = d // e
+                acc = (
+                    list(map(add, acc, nums)) if f == 1
+                    else [s + f * v for s, v in zip(acc, nums)]
+                )
+            regs.append(_reduced(acc, d))
+        elif op == _BULLET:
+            (x, dx), (y, dy) = regs[ins[1]], regs[ins[2]]
+            rows = [x[i * n : i * n + n] for i in range(n)]
+            cols = [y[j::n] for j in range(n)]
+            regs.append(
+                _reduced(
+                    [sum(map(mul, r, c)) for r in rows for c in cols], dx * dy
+                )
+            )
+        else:
+            (x, dx), (y, dy) = regs[ins[1]], regs[ins[2]]
+            regs.append(_reduced(list(map(mul, x, y)), dx * dy))
+    nums, d = regs[-1]
+    vals = nums if d == 1 else [Fraction(v, d) for v in nums]
+    return Matrix([vals[i * n : i * n + n] for i in range(n)])
 
 
 def involution(p: DPoly) -> DPoly:
-    """Reverse both product orders; fixes x, I, J; linear otherwise."""
-
-    def make(node, kids):
+    """Reverse both product orders; fixes x, I, J; linear otherwise.
+    Each node's image is computed once and kept on the node (and the
+    node on its image), so repeated calls reuse it."""
+    stack = [p]
+    while stack:
+        node = stack[-1]
+        if node._inv is not None:
+            stack.pop()
+            continue
+        kids = _children(node)
+        pending = [c for c in kids if c._inv is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
         if isinstance(node, Scaled):
-            return Scaled(node.coef, kids[0])
-        if isinstance(node, Sum):
-            return Sum(kids)
-        if isinstance(node, Bullet):
-            return Bullet(kids[1], kids[0])
-        if isinstance(node, Circ):
-            return Circ(kids[1], kids[0])
-        return node
-
-    return _rebuild(p, make)
+            inv = Scaled(node.coef, node.body._inv)
+        elif isinstance(node, Sum):
+            inv = Sum(t._inv for t in kids)
+        elif isinstance(node, Bullet):
+            inv = Bullet(node.right._inv, node.left._inv)
+        elif isinstance(node, Circ):
+            inv = Circ(node.right._inv, node.left._inv)
+        else:
+            inv = node
+        node._inv = inv
+        inv._inv = node
+    return p._inv
 
 
 def compose(f: DPoly, g: DPoly) -> DPoly:
@@ -337,42 +429,28 @@ def compose(f: DPoly, g: DPoly) -> DPoly:
 
 # -- projection polynomials and entry spectra ------------------------
 
-def _scalar_key(x: Scalar):
-    if isinstance(x, GFp):
-        return (1, Fraction(x.value))
-    return (0, Fraction(x))
-
-
 def proj_poly(lambdas, lam: Scalar) -> DPoly:
     """Hadamard-product Lagrange polynomial: evaluates entry-wise to 1
     where the entry equals lam and 0 where it equals another member of
     lambdas."""
     values = list(lambdas)
-    if len(set(map(_scalar_key, values))) != len(values):
+    if len(set(map(Fraction, values))) != len(values):
         raise DPolyError("repeated elements in the value set")
     if not any(v == lam for v in values):
         raise DPolyError("target value not in the value set")
     factors = []
-    for mu in sorted(values, key=_scalar_key):
+    for mu in sorted(values, key=Fraction):
         if mu == lam:
             continue
-        diff = lam - mu
         factors.append(
-            Scaled(
-                1 / diff if isinstance(diff, GFp) else Fraction(1, 1) / diff,
-                Sum((X, Scaled(-mu, C_ONE))),
-            )
+            Scaled(1 / Fraction(lam - mu), Sum((X, Scaled(-mu, C_ONE))))
         )
     return circ_product(factors)
 
 
 def circ_spectrum(a: Matrix) -> set:
     """Distinct entries of a."""
-    out = set()
-    for r in a.rows:
-        for x in r:
-            out.add(Fraction(x) if not isinstance(x, GFp) else x)
-    return out
+    return {Fraction(x) for r in a.rows for x in r}
 
 
 # -- classic graph matrices ------------------------------------------

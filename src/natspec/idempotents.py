@@ -22,6 +22,7 @@ closure is a lookup of each class's transpose class.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -43,10 +44,11 @@ from .dpoly import (
     dpoly_to_json,
     eval_dpoly,
     involution,
-    node_count,
+    normalize,
     print_dpoly,
     parse,
     proj_poly,
+    tree_size,
 )
 from .exact import Matrix
 
@@ -106,11 +108,7 @@ class IdempotentBasis:
         for e in self.entries:
             rec: dict = {"values": [v.to_json() for v in e.values]}
             if e.dpoly is not None:
-                # text form when small enough to stay readable
-                if node_count(e.dpoly) <= 400:
-                    rec["dpoly"] = print_dpoly(e.dpoly)
-                else:
-                    rec["dpoly_dag"] = dpoly_to_json(e.dpoly)
+                rec.update(_dpoly_record(e.dpoly))
             entries.append(rec)
         return {
             "family_size": self.family_size,
@@ -142,6 +140,20 @@ class IdempotentBasis:
             depth=data.get("depth", 0),
             diagnostics=list(data.get("diagnostics", ())),
         )
+
+
+def _dpoly_record(p: DPoly) -> dict:
+    """p's shorter JSON form: its text, which spells out every shared
+    subterm at each use, or its DAG, which lists each node once.  The
+    text is only printed when the DAG is at least as long as the tree,
+    since every tree node prints at least one character."""
+    dag = dpoly_to_json(p)
+    size = len(json.dumps(dag))
+    if tree_size(normalize(p)) <= size:
+        text = print_dpoly(p)
+        if len(text) <= size:
+            return {"dpoly": text}
+    return {"dpoly_dag": dag}
 
 
 def check_basis(basis: IdempotentBasis) -> List[str]:
@@ -252,9 +264,11 @@ def universal_basis_full(family: Sequence[Matrix]) -> IdempotentBasis:
     that tell its key from the others, so their evaluations match the
     full subset-product definition on every family member."""
     polys = [e.dpoly for e in universal_basis(family, [X, B_ONE]).entries]
-    colours, passes = refine(family)
-    for keys in passes:
-        polys = _split_polys(polys, keys)
+    depth = -1
+    for colours, keys in refine(family):
+        if keys is not None:
+            polys = _split_polys(polys, keys)
+        depth += 1
     n = family[0].n
     entries = [BasisEntry(p, []) for p in polys]
     for colour in colours:
@@ -264,7 +278,7 @@ def universal_basis_full(family: Sequence[Matrix]) -> IdempotentBasis:
                 cells[c][i][j] = 1
         for e, rows in zip(entries, cells):
             e.values.append(Matrix(rows))
-    return IdempotentBasis(len(family), entries, depth=len(passes))
+    return IdempotentBasis(len(family), entries, depth=depth)
 
 
 def _split_polys(polys: List[DPoly], keys: List[tuple]) -> List[DPoly]:

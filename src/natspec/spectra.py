@@ -25,11 +25,10 @@ checked empirically.)
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .dpoly import (
     Bullet,
@@ -39,7 +38,6 @@ from .dpoly import (
     X,
     eval_dpoly,
     involution,
-    print_dpoly,
 )
 from .exact import (
     FieldError,
@@ -49,8 +47,6 @@ from .exact import (
     char_poly,
     format_scalar,
     parse_scalar,
-    scalar_is_zero,
-    trace_powers,
 )
 from .graphs import Graph
 from .idempotents import IdempotentBasis, involution_close, universal_basis_full
@@ -352,21 +348,22 @@ def build_ds_dpoly(family: Sequence[Graph]) -> DsBundle:
     probes: List[DPoly] = []
     probe_values: List[List[Matrix]] = []
     seen = set()
+    zero = Matrix.zero(n)
     for i in range(len(entries)):
         for j in range(len(entries)):
             orbit = frozenset(((i, j), (sigma[j], sigma[i])))
             if orbit in seen:
                 continue
             seen.add(orbit)
-            vals = []
-            for m in members:
-                if i in nonzero[m] and j in nonzero[m]:
-                    v = entries[i].values[m].matmul(mats[m])
-                    v = v.matmul(entries[j].values[m])
-                    vals.append(v + v.transpose())
-                else:
-                    vals.append(Matrix.zero(n))
-            if all(v.is_zero() for v in vals):
+            both = [m for m in members if i in nonzero[m] and j in nonzero[m]]
+            if not both:
+                continue
+            vals = [zero] * len(mats)
+            for m in both:
+                v = entries[i].values[m].matmul(mats[m])
+                v = v.matmul(entries[j].values[m])
+                vals[m] = v + v.transpose()
+            if all(vals[m].is_zero() for m in both):
                 continue
             c = Bullet(entries[i].dpoly, Bullet(X, entries[j].dpoly))
             probes.append(Sum((c, involution(c))))

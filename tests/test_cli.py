@@ -1,14 +1,30 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import natspec
 from natspec.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, EXIT_POLY, main
 from natspec.graphs import enumerate_graphs, graph6_emit, petersen_graph
 
 
 PETERSEN = graph6_emit(petersen_graph())
+
+
+SRC = Path(natspec.__file__).resolve().parent.parent
+ROOT = SRC.parent
+
+
+def run_process(argv, hash_seed):
+    """A fresh interpreter with the given string-hash seed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(hash_seed))
+    subprocess.run([sys.executable] + argv, env=env, check=True,
+                   stdout=subprocess.DEVNULL)
 
 
 def run(args, tmp_path, name="out.json"):
@@ -94,6 +110,32 @@ class TestDsCommands:
         coeffs = bundle["member_spectra"][0]["coeffs"]
         assert len(coeffs) == 7 and coeffs[0] == "1"
         assert max(len(c.lstrip("-")) for c in coeffs) > limit
+
+    def test_stats_deterministic(self, corpus, tmp_path):
+        # ds-build and ds_family reports, stats included, are the same
+        # bytes from two processes with different string-hash seeds
+        outs = {}
+        for seed in (0, 1):
+            for cmd in (["ds-build"], ["experiment", "--mode", "ds_family"]):
+                out = tmp_path / ("%s-%d.json" % (cmd[0], seed))
+                run_process(["-m", "natspec.cli"] + cmd
+                            + ["--corpus", str(corpus), "--out", str(out)], seed)
+                outs[cmd[0], seed] = out.read_bytes()
+        assert outs["ds-build", 0] == outs["ds-build", 1]
+        assert outs["experiment", 0] == outs["experiment", 1]
+        bundle = json.loads(outs["ds-build", 0])
+        stats = {"atoms": 11, "probes": 15, "p_nodes": 240, "max_coeff_bits": 271}
+        assert bundle["stats"] == stats
+        assert json.loads(outs["experiment", 0])["stats"] == stats
+        assert bundle["p_nodes"] == len(bundle["p_dag"]["nodes"]) == 240
+
+    def test_script_writes_the_cli_bundle(self, corpus, tmp_path):
+        script_out = tmp_path / "script.json"
+        cli_out = tmp_path / "cli.json"
+        run_process([str(ROOT / "scripts" / "build_family_bundle.py"),
+                     "--n", "3", "--out", str(script_out)], 0)
+        assert main(["ds-build", "--corpus", str(corpus), "--out", str(cli_out)]) == EXIT_OK
+        assert script_out.read_bytes() == cli_out.read_bytes()
 
     def test_fingerprint_mismatch(self, corpus, tmp_path):
         bundle_path = tmp_path / "bundle.json"

@@ -1,6 +1,8 @@
 """Double polynomial grammar, evaluation, and algebraic operations."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -26,13 +28,14 @@ from natspec.dpoly import (
     dpoly_to_json,
     eval_dpoly,
     involution,
+    node_count,
     parse,
     print_dpoly,
     proj_poly,
     random_dpoly,
     structurally_equal,
 )
-from natspec.exact import Matrix
+from natspec.exact import GFp, Matrix
 from natspec.graphs import (
     complete_graph,
     cycle_graph,
@@ -41,8 +44,10 @@ from natspec.graphs import (
     path_graph,
     petersen_graph,
 )
+from natspec.spectra import build_ds_dpoly
 
 from conftest import random_zero_one_symmetric
+from dpoly_oracle import oracle_eval_dpoly, unshared_dpoly_to_json
 
 
 random_trees = st.integers(0, 2**32 - 1).map(
@@ -146,6 +151,7 @@ class TestEval:
     @settings(max_examples=60, deadline=None)
     def test_involution_is_an_involution(self, p):
         assert structurally_equal(involution(involution(p)), p)
+        assert involution(involution(p)) is p
 
     @given(random_trees, random_trees)
     @settings(max_examples=40, deadline=None)
@@ -238,3 +244,121 @@ class TestNormalization:
 
     def test_order_matters(self):
         assert not structurally_equal(Sum((X, B_ONE)), Sum((B_ONE, X)))
+
+
+def _fraction_matrix(seed: int, n: int) -> Matrix:
+    """A seeded non-symmetric rational matrix."""
+    rng = random.Random(seed)
+    return Matrix(
+        [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+class TestHashConsing:
+    def test_equal_structure_is_one_node(self):
+        assert parse("x*x") is parse("x*x")
+        assert Sum((X, B_ONE)) is Sum([X, B_ONE])
+        assert Scaled(Fraction(2), X) is Scaled(2, X)
+        assert Scaled(2, X).coef == 2 and type(Scaled(2, X).coef) is int
+        assert Sum((X, B_ONE)) is not Sum((B_ONE, X))
+        assert Scaled(1, X) is not X
+
+    @given(random_trees)
+    @settings(max_examples=60, deadline=None)
+    def test_rebuilt_tree_is_the_same_node(self, p):
+        assert dpoly_from_json(dpoly_to_json(p)) is p
+        assert dpoly_from_json(unshared_dpoly_to_json(p)) is p
+        assert parse(print_dpoly(p)) is parse(print_dpoly(p))
+
+    def test_unreferenced_nodes_are_freed(self):
+        ref = weakref.ref(Bullet(Scaled(Fraction(7, 1009), X), C_ONE))
+        gc.collect()
+        assert ref() is None
+
+    def test_nodes_are_immutable(self):
+        p = Bullet(X, C_ONE)
+        with pytest.raises(AttributeError):
+            p.left = B_ONE
+
+    def test_rational_coefficients_only(self):
+        with pytest.raises(dp.DPolyError):
+            Scaled(GFp(2, 7), X)
+        with pytest.raises(dp.DPolyError):
+            Scaled(0.5, X)
+
+    def test_node_count_counts_distinct_subterms(self):
+        # (x*x).(x*x) has three distinct subterms: x, x*x and the product
+        p = parse("(x*x).(x*x)")
+        assert node_count(p) == 3
+        assert dp.tree_size(p) == 7
+
+
+class TestCompiledEvaluator:
+    """eval_dpoly against the Matrix-walking oracle."""
+
+    @given(random_trees, st.integers(0, 2**32 - 1), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_random_against_oracle(self, p, seed, n):
+        a = _fraction_matrix(seed, n)
+        assert eval_dpoly(p, a) == oracle_eval_dpoly(p, a)
+
+    def test_classics_against_oracle(self, rng):
+        mats = [g.adjacency_matrix() for g in enumerate_graphs(4)]
+        mats += [petersen_graph().adjacency_matrix()]
+        mats += [_fraction_matrix(rng.randrange(2**32), n) for n in (1, 3, 5)]
+        for a in mats:
+            for name in ("complement", "laplacian", "signless_laplacian"):
+                p = classic_dpoly(name)
+                assert eval_dpoly(p, a) == oracle_eval_dpoly(p, a)
+            p = distance_dpoly(a.n, 3)
+            assert eval_dpoly(p, a) == oracle_eval_dpoly(p, a)
+
+    def test_zero_and_empty(self):
+        a = _fraction_matrix(1, 3)
+        assert eval_dpoly(Sum(()), a) == Matrix.zero(3)
+        assert eval_dpoly(Scaled(0, X), a) == Matrix.zero(3)
+        assert eval_dpoly(X, Matrix([])) == Matrix([])
+
+    def test_integral_entries_are_ints(self):
+        a = _fraction_matrix(2, 4)
+        v = eval_dpoly(Sum((Scaled(Fraction(1, 2), B_ONE),) * 2), a)
+        assert all(type(x) is int for r in v.rows for x in r)
+        v = eval_dpoly(Scaled(Fraction(1, 3), C_ONE), a)
+        assert all(x == Fraction(1, 3) for r in v.rows for x in r)
+
+    def test_bundle_polynomials_against_oracle(self, rng):
+        # the determining polynomial of the exhaustive n = 3 and n = 4
+        # families on every member and on two relabelings of each
+        for n in (3, 4):
+            family = enumerate_graphs(n)
+            p = build_ds_dpoly(family).p
+            for g in family:
+                graphs = [g]
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    graphs.append(g.relabel(perm))
+                for h in graphs:
+                    a = h.adjacency_matrix()
+                    assert eval_dpoly(p, a) == oracle_eval_dpoly(p, a)
+
+    def test_unshared_bundle_dag_loads_interned(self):
+        # a bundle written with no shared nodes, as older bundles were
+        # in part, loads to the same interned polynomial
+        family = enumerate_graphs(3)
+        p = build_ds_dpoly(family).p
+        data = unshared_dpoly_to_json(p)
+        assert len(data["nodes"]) > 100 * node_count(p)
+        q = dpoly_from_json(data)
+        assert q is p
+        for g in family:
+            a = g.adjacency_matrix()
+            assert eval_dpoly(q, a) == oracle_eval_dpoly(p, a)
+
+    def test_prime_field_matrix_rejected(self):
+        a = Matrix([[GFp(0, 7), GFp(1, 7)], [GFp(1, 7), GFp(0, 7)]])
+        with pytest.raises(dp.DPolyError):
+            eval_dpoly(parse("x*x"), a)
