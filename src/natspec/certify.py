@@ -22,24 +22,14 @@ edges, whenever there are n diagonal idempotents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .closure import generated_double_algebra
-from .dpoly import (
-    B_ONE,
-    C_ONE,
-    X,
-    Bullet,
-    Circ,
-    DPoly,
-    Scaled,
-    Sum,
-    compose,
-    eval_dpoly,
-    proj_poly,
-)
 from .exact import Matrix
 from .graphs import BesReport, Graph, bes_statistics
+
+if TYPE_CHECKING:
+    from .dpoly import DPoly
 
 
 @dataclass
@@ -164,6 +154,18 @@ def certificate_dpolys(g: Graph, cert: Certificate) -> List[DPoly]:
     """The double polynomials behind a certificate's diagonal units, in
     the certificate's vertex order (instance-specific: the signature
     polynomials embed this graph's adjacency entries as coefficients)."""
+    from .dpoly import (
+        B_ONE,
+        C_ONE,
+        X,
+        Bullet,
+        Circ,
+        Scaled,
+        Sum,
+        compose,
+        proj_poly,
+    )
+
     n = cert.n
     rr = cert.r
     a = _sorted_adjacency(g, cert.order)

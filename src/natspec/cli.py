@@ -17,20 +17,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
-from .certify import (
-    Certificate,
-    Reconstruction,
-    bes_certificate,
-    reconstruct,
-)
-from .closure import dimension_bounds_report, is_full
-from .dpoly import ParseError, dpoly_from_json, dpoly_to_json, node_count, parse
 from .graphs import (
     Graph,
     GraphError,
@@ -42,14 +33,11 @@ from .graphs import (
     random_gnp_half,
     are_isomorphic,
 )
-from .spectra import (
-    DsBundle,
-    Spectrum,
-    build_ds_dpoly,
-    natural_spectrum,
-    spectrum_of,
-    merged_value,
-)
+
+# Each command imports the layers it runs, so a process loads only
+# what its subcommand needs.
+if TYPE_CHECKING:
+    from .spectra import DsBundle, Spectrum
 
 
 EXIT_OK = 0
@@ -93,6 +81,9 @@ def _frac(num: int, den: int) -> str:
 # -- analyze -----------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from .certify import Reconstruction, reconstruct
+    from .closure import dimension_bounds_report
+
     try:
         g = graph6_parse(args.graph)
     except GraphError as e:
@@ -131,6 +122,9 @@ def cmd_analyze(args) -> int:
 # -- spectrum ----------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    from .dpoly import ParseError, parse
+    from .spectra import natural_spectrum
+
     try:
         g = graph6_parse(args.graph)
     except GraphError as e:
@@ -166,6 +160,8 @@ def _ds_stats(bundle: DsBundle, specs: List[Spectrum]) -> dict:
     """Deterministic counters of a determining-spectrum build: atoms,
     probes, distinct subterms of p, and the largest bit length of a
     merged characteristic-polynomial coefficient."""
+    from .dpoly import node_count
+
     bits = [
         max(abs(f.numerator).bit_length(), f.denominator.bit_length())
         for s in specs
@@ -180,10 +176,14 @@ def _ds_stats(bundle: DsBundle, specs: List[Spectrum]) -> dict:
 
 
 def _member_spectra(bundle: DsBundle, family: List[Graph]) -> List[Spectrum]:
+    from .spectra import merged_value, spectrum_of
+
     return [spectrum_of(merged_value(bundle, i)) for i in range(len(family))]
 
 
 def _bundle_to_json(bundle: DsBundle, family: List[Graph]) -> dict:
+    from .dpoly import dpoly_to_json, node_count, subterm_indices
+
     # per-member spectra, so ds-check does not recompute the family
     specs = _member_spectra(bundle, family)
     return {
@@ -193,7 +193,8 @@ def _bundle_to_json(bundle: DsBundle, family: List[Graph]) -> dict:
         "plan": bundle.plan.to_json(),
         "p_dag": dpoly_to_json(bundle.p),
         "p_nodes": node_count(bundle.p),
-        "probes": [dpoly_to_json(d) for d in bundle.probes],
+        # every probe is a node of p: stored as its index in p_dag
+        "probes": subterm_indices(bundle.p, bundle.probes),
         "basis": bundle.basis.to_json(),
         "full_members": list(bundle.full_members),
         "member_graph6": [graph6_emit(g) for g in family],
@@ -203,6 +204,8 @@ def _bundle_to_json(bundle: DsBundle, family: List[Graph]) -> dict:
 
 
 def cmd_ds_build(args) -> int:
+    from .spectra import build_ds_dpoly
+
     try:
         family = _read_corpus(args.corpus)
     except (OSError, GraphError) as e:
@@ -216,6 +219,9 @@ def cmd_ds_build(args) -> int:
 
 
 def cmd_ds_check(args) -> int:
+    from .dpoly import dpoly_from_json
+    from .spectra import natural_spectrum
+
     try:
         with open(args.bundle) as fh:
             data = json.load(fh)
@@ -260,6 +266,10 @@ def _certify_trial(task):
     r = best_feasible_r(g)
     if r is None:
         return ("uncertified", None)
+    # imported here, past the cheap test that rejects most graphs
+    from .certify import Certificate, bes_certificate
+    from .closure import is_full
+
     cert = bes_certificate(g, r=r)
     if not isinstance(cert, Certificate):
         return ("uncertified", None)
@@ -268,6 +278,8 @@ def _certify_trial(task):
 
 def _map_trials(fn, tasks, threads: int):
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, tasks, chunksize=8))
     return [fn(t) for t in tasks]
@@ -296,6 +308,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     elif cfg.mode == "ds_family":
         if not cfg.corpus:
             raise ValueError("ds_family mode needs --corpus")
+        from .spectra import build_ds_dpoly
+
         family = _read_corpus(cfg.corpus)
         bundle = build_ds_dpoly(family)
         specs = _member_spectra(bundle, family)

@@ -774,6 +774,16 @@ def dpoly_to_json(p: DPoly) -> dict:
     return {"nodes": nodes, "root": index[id(p)]}
 
 
+def subterm_indices(p: DPoly, subterms: Iterable[DPoly]) -> list:
+    """The positions of subterms of p in dpoly_to_json(p)["nodes"]:
+    {"nodes": those nodes, "root": k} loads the subterm at k."""
+    index = {id(node): k for k, node in enumerate(_postorder(p))}
+    try:
+        return [index[id(q)] for q in subterms]
+    except KeyError:
+        raise DPolyError("not a subterm of the polynomial") from None
+
+
 def dpoly_from_json(data: dict) -> DPoly:
     built = []
     for spec in data["nodes"]:

@@ -4,9 +4,6 @@ Everything downstream (closure computation, idempotent bases, spectra)
 relies on exact zero tests, so the default scalar type is an
 arbitrary-precision rational.  Integers are kept as Python ints where
 possible and only promoted to Fraction when a division forces it.
-A prime field GF(p) is available as an alternative scalar type; it is
-only usable for characteristic-sensitive operations (characteristic
-polynomials, Newton identities) when p exceeds the matrix dimension.
 """
 
 from __future__ import annotations
@@ -16,86 +13,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 
-class FieldError(ValueError):
-    """Raised when a scalar operation is not defined over the field."""
-
-
 class DimensionError(ValueError):
     """Raised on a matrix dimension mismatch."""
 
 
-class GFp:
-    """An element of the prime field of size p."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other: "GFp") -> None:
-        if self.p != other.p:
-            raise FieldError("mixed prime fields: %d vs %d" % (self.p, other.p))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return GFp(self.value + other, self.p)
-        self._check(other)
-        return GFp(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return GFp(self.value - other, self.p)
-        self._check(other)
-        return GFp(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        return GFp(other - self.value, self.p)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GFp(self.value * other, self.p)
-        self._check(other)
-        return GFp(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = GFp(other, self.p)
-        self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return GFp(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __neg__(self):
-        return GFp(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFp):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "GFp(%d, %d)" % (self.value, self.p)
-
-
-Scalar = Union[int, Fraction, GFp]
+Scalar = Union[int, Fraction]
 
 
 def scalar_is_zero(x: Scalar) -> bool:
-    if isinstance(x, GFp):
-        return x.value == 0
     return x == 0
 
 
@@ -116,8 +41,6 @@ def _int_str(v: int) -> str:
 
 def format_scalar(x: Scalar) -> str:
     """Render a scalar as an exact decimal-free literal, "p" or "p/q"."""
-    if isinstance(x, GFp):
-        return str(x.value)
     f = Fraction(x)
     if f.denominator == 1:
         return _int_str(f.numerator)
@@ -135,19 +58,16 @@ def parse_scalar(s: str) -> Scalar:
 
 def _exact_div(x: Scalar, k: int) -> Scalar:
     """x / k, keeping ints when the division is exact."""
-    if isinstance(x, GFp):
-        return x / k
     if isinstance(x, int) and x % k == 0:
         return x // k
     return Fraction(x) / k
 
 
 class Matrix:
-    """A dense square matrix over an exact field.
+    """A dense square matrix over the rationals.
 
     Rows are stored as tuples, so a Matrix is immutable and hashable.
-    Entries are ints, Fractions, or GFp elements; a single matrix must
-    not mix rational and prime-field entries.
+    Entries are ints or Fractions.
     """
 
     __slots__ = ("n", "rows", "_hash")
@@ -177,19 +97,6 @@ class Matrix:
     @staticmethod
     def zero(n: int, zero: Scalar = 0) -> "Matrix":
         return Matrix([[zero] * n for _ in range(n)])
-
-    def one_scalar(self) -> Scalar:
-        """The multiplicative identity of this matrix's scalar field."""
-        x = self.rows[0][0] if self.n else 1
-        if isinstance(x, GFp):
-            return GFp(1, x.p)
-        return 1
-
-    def zero_scalar(self) -> Scalar:
-        x = self.rows[0][0] if self.n else 0
-        if isinstance(x, GFp):
-            return GFp(0, x.p)
-        return 0
 
     # -- arithmetic --------------------------------------------------
 
@@ -264,12 +171,7 @@ class Matrix:
 
     def __hash__(self):
         if self._hash is None:
-            norm = tuple(
-                tuple(
-                    x if isinstance(x, GFp) else Fraction(x) for x in r
-                )
-                for r in self.rows
-            )
+            norm = tuple(tuple(Fraction(x) for x in r) for r in self.rows)
             self._hash = hash(norm)
         return self._hash
 
@@ -322,33 +224,21 @@ def transpose(a: Matrix) -> Matrix:
     return a.transpose()
 
 
-def _field_char(a: Matrix) -> int:
-    x = a.rows[0][0] if a.n else 0
-    return x.p if isinstance(x, GFp) else 0
-
-
 def char_poly(a: Matrix):
     """Coefficients of det(tI - a), monic, highest degree first.
 
     Uses the Faddeev-LeVerrier recurrence, which only ever divides by
-    the integers 1..n; over a prime field this requires p > n.
+    the integers 1..n.
     """
     n = a.n
-    p = _field_char(a)
-    if p and p <= n:
-        raise FieldError(
-            "char_poly over GF(%d) needs p > n (n = %d)" % (p, n)
-        )
-    one = a.one_scalar()
-    zero = a.zero_scalar()
-    coeffs = [one]
-    m = Matrix.identity(n, one, zero)
+    coeffs = [1]
+    m = Matrix.identity(n)
     for k in range(1, n + 1):
         m = a.matmul(m)
         c = _exact_div(-m.trace(), k)
         coeffs.append(c)
         if k < n:
-            m = m + Matrix.identity(n, one, zero).scale(c)
+            m = m + Matrix.identity(n).scale(c)
     return tuple(coeffs)
 
 

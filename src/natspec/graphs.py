@@ -7,7 +7,6 @@ neighborhood intersections cheap even at a few thousand vertices.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -173,6 +172,8 @@ def graph6_parse(s: str) -> Graph:
 
 def derive_seed(seed: int, counter: int) -> int:
     """Counter-based seed splitter; reproducible across platforms."""
+    import hashlib  # loaded here: only experiments draw seeds
+
     h = hashlib.sha256(("%d:%d" % (seed, counter)).encode()).digest()
     return int.from_bytes(h[:8], "big")
 

@@ -24,11 +24,10 @@ checked empirically.)
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .dpoly import (
     Bullet,
@@ -39,17 +38,12 @@ from .dpoly import (
     eval_dpoly,
     involution,
 )
-from .exact import (
-    FieldError,
-    GFp,
-    Matrix,
-    Scalar,
-    char_poly,
-    format_scalar,
-    parse_scalar,
-)
-from .graphs import Graph
-from .idempotents import IdempotentBasis, involution_close, universal_basis_full
+from .exact import Matrix, Scalar, char_poly, format_scalar, parse_scalar
+from .graphs import Graph, graph6_emit
+
+# only build_ds_dpoly refines a family; ds-check and spectrum do not
+if TYPE_CHECKING:
+    from .idempotents import IdempotentBasis
 
 
 class SpectrumError(ValueError):
@@ -77,15 +71,7 @@ class Spectrum:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(
-            (
-                self.n,
-                tuple(
-                    x if isinstance(x, GFp) else Fraction(x)
-                    for x in self.coeffs
-                ),
-            )
-        )
+        return hash((self.n, tuple(Fraction(x) for x in self.coeffs)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [format_scalar(c) for c in self.coeffs]}
@@ -114,19 +100,9 @@ def strong_spectrum_restricted(
 
 # -- Newton identities ------------------------------------------------
 
-def _check_char(sample: Scalar, n: int) -> None:
-    if isinstance(sample, GFp) and sample.p <= n:
-        raise FieldError(
-            "Newton conversion over GF(%d) needs p > n (n = %d)"
-            % (sample.p, n)
-        )
-
-
 def traces_from_charpoly(s: Spectrum) -> List[Scalar]:
     """Power sums p_1..p_n from the characteristic polynomial."""
     n = s.n
-    if n:
-        _check_char(s.coeffs[0], n)
     # e_k with signs: coeffs[k] = (-1)^k e_k
     e = [(-1) ** k * s.coeffs[k] for k in range(n + 1)]
     p: List[Scalar] = []
@@ -139,24 +115,17 @@ def traces_from_charpoly(s: Spectrum) -> List[Scalar]:
 
 
 def charpoly_from_traces(traces: Sequence[Scalar]) -> Spectrum:
-    """Characteristic polynomial from the n power sums; needs field
-    characteristic 0 or > n."""
+    """Characteristic polynomial from the n power sums."""
     n = len(traces)
     if n == 0:
         raise SpectrumError("need at least one trace")
-    _check_char(traces[0], n)
-    one = GFp(1, traces[0].p) if isinstance(traces[0], GFp) else 1
-    e: List[Scalar] = [one]
+    e: List[Scalar] = [1]
     for k in range(1, n + 1):
-        acc = e[k - 1] * traces[0] * 0  # zero of the right field
+        acc = 0
         for i in range(1, k + 1):
             acc = acc + (-1) ** (i - 1) * e[k - i] * traces[i - 1]
-        if isinstance(acc, GFp):
-            ek = acc / GFp(k, acc.p)
-        else:
-            f = Fraction(acc, k)
-            ek = f.numerator if f.denominator == 1 else f
-        e.append(ek)
+        f = Fraction(acc, k)
+        e.append(f.numerator if f.denominator == 1 else f)
     coeffs = tuple((-1) ** k * e[k] for k in range(n + 1))
     return Spectrum(n, coeffs)
 
@@ -296,7 +265,7 @@ def demerge(s: Spectrum, plan: MergePlan) -> List[Spectrum]:
 # -- the determining-spectrum pipeline ---------------------------------
 
 def family_fingerprint(family: Sequence[Graph]) -> str:
-    from .graphs import graph6_emit
+    import hashlib
 
     payload = "\n".join(sorted(graph6_emit(g) for g in family))
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -327,6 +296,8 @@ def build_ds_dpoly(family: Sequence[Graph]) -> DsBundle:
     the symmetrization and with members evaluating to zero on the whole
     family dropped (their weighted term contributes nothing on any
     member); p = sum of a_d * d with geometric merge weights."""
+    from .idempotents import involution_close, universal_basis_full
+
     if not family:
         raise SpectrumError("empty family")
     n = family[0].n

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 
 import natspec
 from natspec.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, EXIT_POLY, main
+from natspec.dpoly import dpoly_from_json, dpoly_to_json
 from natspec.graphs import enumerate_graphs, graph6_emit, petersen_graph
+from natspec.spectra import build_ds_dpoly
 
 
 PETERSEN = graph6_emit(petersen_graph())
@@ -25,6 +28,22 @@ def run_process(argv, hash_seed):
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(hash_seed))
     subprocess.run([sys.executable] + argv, env=env, check=True,
                    stdout=subprocess.DEVNULL)
+
+
+def loaded_modules(argv):
+    """Names in sys.modules of a fresh interpreter after cli.main(argv)."""
+    code = ("import sys\nfrom natspec import cli\ncli.main(%r)\n"
+            "print('\\n'.join(sys.modules))" % (argv,))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def corpus_file(tmp_path, n):
+    path = tmp_path / ("family%d.g6" % n)
+    path.write_text("\n".join(graph6_emit(g) for g in enumerate_graphs(n)) + "\n")
+    return path
 
 
 def run(args, tmp_path, name="out.json"):
@@ -224,3 +243,111 @@ class TestExperiment:
         )
         assert code == EXIT_OK
         assert data["family_size"] == 4
+
+    @pytest.mark.parametrize("mode, n, trials, seed", [
+        ("bes_frequency", 16, 20, 9),
+        ("certify_and_confirm", 8, 60, 5),  # two certified graphs
+    ])
+    def test_process_pool_matches_serial(self, tmp_path, mode, n, trials, seed):
+        args = ["experiment", "--mode", mode, "--n", str(n),
+                "--trials", str(trials), "--seed", str(seed)]
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("threads%s.json" % threads)
+            assert main(args + ["--threads", threads, "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        if mode == "certify_and_confirm":
+            assert json.loads(outs[0])["certified"] == 2
+
+
+class TestBundleFormat:
+    # sha256 of each section's JSON (indent 2, sorted keys) in the
+    # 3-vertex family's bundle, pinned when probes became node indices:
+    # every section but probes is unchanged by that
+    SECTIONS = {
+        "p_dag": "26965bf8fdf47fce0ae0b172fc6dc02c20150ea0aa7d074c5a4618263fba3f10",
+        "plan": "9bc7d53de80bc5f8b88b5beebee9d0d8f50879da27e997b27525487f00870c13",
+        "basis": "8ce35dbd17238493635074d206d284562e3e8f2c611dddcf271b6bbffafa0efa",
+        "member_spectra": "b9227424ed9adef9a398ba6f16b08908d3cb835ef9b37b7c03a8f409002cb8d8",
+        "stats": "1529d0de2806a9a3e848b751ff8c0f9418fa96a4bf7d344ce22d891ee608f276",
+        "fingerprint": "1a5785e45334b25a9db2d75a761d09b0b327d2eb7d940327eb808c51649f1532",
+    }
+
+    @pytest.fixture()
+    def built(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        corpus = corpus_file(tmp_path, 3)
+        assert main(["ds-build", "--corpus", str(corpus), "--out", str(path)]) == EXIT_OK
+        return path, json.loads(path.read_text())
+
+    def test_probes_are_nodes_of_p(self, built):
+        _, data = built
+        bundle = build_ds_dpoly(enumerate_graphs(3))
+        nodes = data["p_dag"]["nodes"]
+        assert len(data["probes"]) == len(bundle.probes) == 15
+        for k, probe in zip(data["probes"], bundle.probes):
+            assert dpoly_from_json({"nodes": nodes, "root": k}) is probe
+
+    def test_other_sections_unchanged(self, built):
+        _, data = built
+        for key, digest in self.SECTIONS.items():
+            text = json.dumps(data[key], indent=2, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+    def test_bundle_with_probe_dags_still_checks(self, built, tmp_path):
+        path, data = built
+        old = dict(data, probes=[dpoly_to_json(d) for d in
+                                 build_ds_dpoly(enumerate_graphs(3)).probes])
+        old_path = tmp_path / "old.json"
+        old_path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+        assert old_path.stat().st_size > 2 * path.stat().st_size
+        graphs = [graph6_emit(g) for g in enumerate_graphs(3)]
+        for g1, g2 in [(graphs[1], graphs[2]), (graphs[3], graphs[3])]:
+            reports = []
+            for b in (path, old_path):
+                out = tmp_path / "check.json"
+                argv = ["ds-check", "--bundle", str(b), g1, g2, "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
+
+
+class TestImports:
+    """Each subcommand loads only the layers it runs."""
+
+    def test_analyze(self, tmp_path):
+        mods = loaded_modules(["analyze", PETERSEN, "--out", str(tmp_path / "a.json")])
+        assert {"natspec.closure", "natspec.certify"} <= mods
+        assert not mods & {"natspec.spectra", "natspec.idempotents",
+                           "natspec.dpoly", "concurrent.futures.process"}
+
+    def test_ds_check(self, tmp_path):
+        bundle = tmp_path / "bundle.json"
+        main(["ds-build", "--corpus", str(corpus_file(tmp_path, 3)), "--out", str(bundle)])
+        g1, g2 = (graph6_emit(g) for g in enumerate_graphs(3)[1:3])
+        mods = loaded_modules(["ds-check", "--bundle", str(bundle), g1, g2,
+                               "--out", str(tmp_path / "c.json")])
+        assert {"natspec.spectra", "natspec.dpoly"} <= mods
+        assert not mods & {"natspec.idempotents", "natspec.certify"}
+
+    def test_serial_experiment(self, tmp_path):
+        mods = loaded_modules(["experiment", "--mode", "certify_and_confirm",
+                               "--n", "8", "--trials", "30", "--seed", "5",
+                               "--threads", "1", "--out", str(tmp_path / "e.json")])
+        assert "natspec.certify" in mods  # one graph is certified
+        assert "concurrent.futures.process" not in mods
+
+    def test_lazy_package(self):
+        code = "import sys, natspec; print([m for m in sys.modules if m.startswith('natspec.')])"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+        namespace = {}
+        exec("from natspec import *", namespace)
+        assert set(natspec.__all__) <= set(namespace)
+        assert set(natspec.__all__) <= set(dir(natspec))
+        assert namespace["Matrix"] is natspec.exact.Matrix
+        with pytest.raises(AttributeError):
+            natspec.no_such_name

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from natspec.exact import (
     DimensionError,
-    FieldError,
-    GFp,
     Matrix,
     char_poly,
     format_scalar,
@@ -18,42 +16,6 @@ from natspec.exact import (
 )
 
 from conftest import leibniz_char_poly
-
-
-P = 101
-
-
-def gfp(x):
-    return GFp(x, P)
-
-
-class TestGFp:
-    @given(st.integers(-300, 300), st.integers(-300, 300))
-    def test_field_laws(self, a, b):
-        x, y = gfp(a), gfp(b)
-        assert x + y == gfp(a + b)
-        assert x - y == gfp(a - b)
-        assert x * y == gfp(a * b)
-        assert -x == gfp(-a)
-
-    @given(st.integers(-300, 300))
-    def test_division_inverts_multiplication(self, a):
-        x = gfp(a)
-        if x.value != 0:
-            assert (gfp(1) / x) * x == gfp(1)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            gfp(1) / gfp(0)
-
-    def test_mixed_field_rejected(self):
-        with pytest.raises(FieldError):
-            GFp(1, 7) + GFp(1, 11)
-
-    def test_int_interop(self):
-        assert gfp(5) + 3 == gfp(8)
-        assert 3 * gfp(5) == gfp(15)
-        assert gfp(5) == 5 + P * 4
 
 
 class TestScalarText:
@@ -160,19 +122,6 @@ class TestCharPoly:
                 coeffs = nxt
         a = petersen_graph().adjacency_matrix()
         assert tuple(Fraction(c) for c in char_poly(a)) == tuple(coeffs)
-
-    def test_gfp_char_gate(self):
-        a = Matrix([[GFp(0, 3)] * 4 for _ in range(4)])
-        with pytest.raises(FieldError):
-            char_poly(a)
-
-    def test_gfp_char_poly_matches_rational(self):
-        a = mat([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-        ap = Matrix([[GFp(x, P) for x in r] for r in a.rows])
-        rational = char_poly(a)
-        modular = char_poly(ap)
-        for r, m in zip(rational, modular):
-            assert GFp(int(r), P) == m
 
     def test_trace_powers(self):
         a = mat([[0, 1], [1, 0]])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from natspec.dpoly import X, classic_dpoly, parse, random_dpoly
-from natspec.exact import GFp, Matrix
+from natspec.exact import Matrix
 from natspec.graphs import (
     complete_graph,
     cycle_graph,
@@ -90,20 +90,6 @@ class TestNewton:
         assert [Fraction(t) for t in traces_from_charpoly(spectrum_of(a))] == [
             Fraction(t) for t in trace_powers(a, 4)
         ]
-
-    def test_gfp_gate(self):
-        p = 3
-        s = Spectrum(4, tuple(GFp(c, p) for c in (1, 0, 0, 0, 0)))
-        from natspec.exact import FieldError
-
-        with pytest.raises(FieldError):
-            traces_from_charpoly(s)
-
-    def test_gfp_round_trip_when_p_large(self):
-        P = 101
-        a = Matrix([[GFp(x, P) for x in row] for row in [[0, 1], [1, 0]]])
-        s = spectrum_of(a)
-        assert charpoly_from_traces(traces_from_charpoly(s)) == s
 
 
 class TestMergePlans:
