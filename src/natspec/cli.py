@@ -204,7 +204,7 @@ def _bundle_to_json(bundle: DsBundle, family: List[Graph]) -> dict:
 
 
 def cmd_ds_build(args) -> int:
-    from .spectra import build_ds_dpoly
+    from .spectra import SpectrumError, build_ds_dpoly
 
     try:
         family = _read_corpus(args.corpus)
@@ -214,7 +214,11 @@ def cmd_ds_build(args) -> int:
         return _fail("empty corpus", EXIT_INPUT)
     if len({g.n for g in family}) != 1:
         return _fail("corpus mixes vertex counts", EXIT_INPUT)
-    _emit(_bundle_to_json(build_ds_dpoly(family), family), args.out)
+    try:
+        bundle = build_ds_dpoly(family)
+    except SpectrumError as e:
+        return _fail(str(e), EXIT_INPUT)
+    _emit(_bundle_to_json(bundle, family), args.out)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ Grammar (EBNF, also in the README):
     prod    := factor ('*' factor)*          -- matrix product, left-assoc
     factor  := postfix ('.' postfix)*        -- Hadamard product, tighter
     postfix := primary ("'" | '^' nat | '^.' nat)*
-    primary := 'x' | 'I' | 'J' | '(' expr ')' | rational primary | rational
+    primary := 'x' | 'I' | 'J' | '(' expr ')' | rational postfix | rational
     rational:= nat ('/' nat)?
 
 `I` is the matrix-product identity, `J` the all-one matrix.  A rational
@@ -674,6 +674,8 @@ def print_dpoly(p: DPoly) -> str:
     """Canonical text; parse(print_dpoly(p)) is structurally equal to
     normalize(p)."""
     p = normalize(p)
+    # every node's text, shared by the negated sum terms' reprints
+    texts = {}
 
     def make(node, kids):
         def wrap(child, text, minimum):
@@ -690,11 +692,15 @@ def print_dpoly(p: DPoly) -> str:
                 return "0"
             parts = [wrap(node.terms[0], kids[0], _PREC_SCALED)]
             for t, text in zip(node.terms[1:], kids[1:]):
-                if isinstance(t, Scaled) and Fraction(t.coef) < 0:
-                    flipped = normalize(Scaled(-1, t))
+                if isinstance(t, Scaled) and t.coef < 0:
+                    # normalize(-t): t's body, or a multiple of it
+                    flipped = (
+                        t.body if t.coef == -1 else Scaled(-t.coef, t.body)
+                    )
+                    if flipped not in texts:
+                        texts[flipped] = make(flipped, [texts[t.body]])
                     parts.append(
-                        "- " + wrap(flipped, _print_node(flipped),
-                                    _PREC_SCALED)
+                        "- " + wrap(flipped, texts[flipped], _PREC_SCALED)
                     )
                 else:
                     parts.append("+ " + wrap(t, text, _PREC_SCALED))
@@ -722,10 +728,9 @@ def print_dpoly(p: DPoly) -> str:
             return left + "." + right
         raise DPolyError("unknown node %r" % node)
 
-    def _print_node(q):
-        return _rebuild(q, make)
-
-    return _rebuild(p, make)
+    for node in _postorder(p):
+        texts[node] = make(node, [texts[c] for c in _children(node)])
+    return texts[p]
 
 
 # -- JSON (shared-node DAG form) -------------------------------------

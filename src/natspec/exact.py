@@ -1,4 +1,4 @@
-"""Exact field and matrix arithmetic.
+"""Exact rational and matrix arithmetic.
 
 Everything downstream (closure computation, idempotent bases, spectra)
 relies on exact zero tests, so the default scalar type is an
@@ -18,10 +18,6 @@ class DimensionError(ValueError):
 
 
 Scalar = Union[int, Fraction]
-
-
-def scalar_is_zero(x: Scalar) -> bool:
-    return x == 0
 
 
 def _int_str(v: int) -> str:
@@ -85,18 +81,16 @@ class Matrix:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def identity(n: int, one: Scalar = 1, zero: Scalar = 0) -> "Matrix":
-        return Matrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+    def identity(n: int) -> "Matrix":
+        return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def ones(n: int, one: Scalar = 1) -> "Matrix":
-        return Matrix([[one] * n for _ in range(n)])
+    def ones(n: int) -> "Matrix":
+        return Matrix([[1] * n for _ in range(n)])
 
     @staticmethod
-    def zero(n: int, zero: Scalar = 0) -> "Matrix":
-        return Matrix([[zero] * n for _ in range(n)])
+    def zero(n: int) -> "Matrix":
+        return Matrix([[0] * n for _ in range(n)])
 
     # -- arithmetic --------------------------------------------------
 
@@ -176,7 +170,7 @@ class Matrix:
         return self._hash
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(x) for r in self.rows for x in r)
+        return all(x == 0 for r in self.rows for x in r)
 
     def is_symmetric(self) -> bool:
         return all(
@@ -208,20 +202,6 @@ class Matrix:
     @staticmethod
     def loads(s: str) -> "Matrix":
         return Matrix.from_json(json.loads(s))
-
-
-# -- module-level operation aliases ----------------------------------
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a.matmul(b)
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    return a.hadamard(b)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return a.transpose()
 
 
 def char_poly(a: Matrix):

@@ -18,15 +18,19 @@ factors chosen to separate the realized classes, and their evaluations
 agree with the full products on every family member.  For a symmetric
 family the partition is closed under transpose, so the involution
 closure is a lookup of each class's transpose class.
+
+A basis is held as that partition: one polynomial per atom, and per
+member an n x n array of colours, colour k meaning atom k.  The 0/1
+value of an atom on a member is built only on request
+(`IdempotentBasis.value`, and the JSON form).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .closure import ClosureResult, refine
 from .dpoly import (
@@ -40,13 +44,11 @@ from .dpoly import (
     Sum,
     circ_product,
     compose,
-    dpoly_from_json,
     dpoly_to_json,
     eval_dpoly,
     involution,
     normalize,
     print_dpoly,
-    parse,
     proj_poly,
     tree_size,
 )
@@ -75,71 +77,39 @@ def primitive_circ_idempotents(res: ClosureResult) -> List[Matrix]:
 # -- the basis container ---------------------------------------------
 
 @dataclass
-class BasisEntry:
-    """One universal-basis element: its defining double polynomial (may
-    be None for value-only intermediates) and its value on each family
-    member, indexed by position in the family."""
-
-    dpoly: Optional[DPoly]
-    values: List[Matrix]
-
-
-@dataclass
 class IdempotentBasis:
-    family_size: int
-    entries: List[BasisEntry]
+    """A universal basis as the partition it spans: `entries[k]` is
+    atom k's double polynomial, and `colours[m][i][j]` is the atom
+    holding position (i, j) of family member m, so atom k evaluates on
+    member m to the indicator of its colour-k positions."""
+
+    entries: List[DPoly]
+    colours: List[List[List[int]]]
     involution_pairing: Optional[List[int]] = None
-    stabilized: bool = True
     depth: int = 0
-    diagnostics: List[str] = field(default_factory=list)
 
-    def values_on(self, member: int) -> List[Matrix]:
-        return [e.values[member] for e in self.entries]
+    @property
+    def family_size(self) -> int:
+        return len(self.colours)
 
-    def nonzero_values_on(self, member: int) -> List[Matrix]:
-        return [
-            e.values[member]
-            for e in self.entries
-            if not e.values[member].is_zero()
-        ]
+    def value(self, k: int, m: int) -> Matrix:
+        """Atom k's 0/1 value on member m."""
+        return Matrix([[int(c == k) for c in row] for row in self.colours[m]])
 
     def to_json(self) -> dict:
-        entries = []
-        for e in self.entries:
-            rec: dict = {"values": [v.to_json() for v in e.values]}
-            if e.dpoly is not None:
-                rec.update(_dpoly_record(e.dpoly))
-            entries.append(rec)
+        members = range(self.family_size)
         return {
             "family_size": self.family_size,
-            "entries": entries,
+            "entries": [
+                dict(
+                    _dpoly_record(p),
+                    values=[self.value(k, m).to_json() for m in members],
+                )
+                for k, p in enumerate(self.entries)
+            ],
             "involution_pairing": self.involution_pairing,
-            "stabilized": self.stabilized,
             "depth": self.depth,
-            "diagnostics": list(self.diagnostics),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "IdempotentBasis":
-        entries = []
-        for rec in data["entries"]:
-            if "dpoly" in rec:
-                p: Optional[DPoly] = parse(rec["dpoly"])
-            elif "dpoly_dag" in rec:
-                p = dpoly_from_json(rec["dpoly_dag"])
-            else:
-                p = None
-            entries.append(
-                BasisEntry(p, [Matrix.from_json(v) for v in rec["values"]])
-            )
-        return IdempotentBasis(
-            family_size=data["family_size"],
-            entries=entries,
-            involution_pairing=data.get("involution_pairing"),
-            stabilized=data.get("stabilized", True),
-            depth=data.get("depth", 0),
-            diagnostics=list(data.get("diagnostics", ())),
-        )
 
 
 def _dpoly_record(p: DPoly) -> dict:
@@ -156,37 +126,6 @@ def _dpoly_record(p: DPoly) -> dict:
     return {"dpoly_dag": dag}
 
 
-def check_basis(basis: IdempotentBasis) -> List[str]:
-    """Universality diagnostics: per member, nonzero values must be
-    distinct 0/1 matrices, pairwise Hadamard-orthogonal, summing to J.
-    Returns a list of violation messages (empty = all good)."""
-    problems = []
-    for m in range(basis.family_size):
-        vals = basis.nonzero_values_on(m)
-        if not vals:
-            problems.append("member %d: no nonzero values" % m)
-            continue
-        n = vals[0].n
-        total = Matrix.zero(n)
-        seen = set()
-        for v in vals:
-            if not v.is_zero_one():
-                problems.append("member %d: non-0/1 value" % m)
-            if v in seen:
-                problems.append("member %d: repeated nonzero value" % m)
-            seen.add(v)
-            total = total + v
-        if total != Matrix.ones(n):
-            problems.append("member %d: values do not sum to J" % m)
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if not vals[i].hadamard(vals[j]).is_zero():
-                    problems.append(
-                        "member %d: values %d,%d not orthogonal" % (m, i, j)
-                    )
-    return problems
-
-
 # -- universal basis from explicit building polynomials ---------------
 
 def universal_basis(
@@ -196,60 +135,44 @@ def universal_basis(
     polynomials' values, over the whole family at once: one basis whose
     evaluations at each member are that member's primitive idempotents.
 
-    Only realized atoms are returned: positions are partitioned per
-    member by their indicator profile across the projection
-    compositions C, and each distinct profile yields one atom with its
-    defining subset-product polynomial."""
+    Only realized atoms are returned: a position's atom is its profile
+    of values across the polynomials, numbered in order of first
+    (member, row-major position), and each profile's polynomial is the
+    product over the projection compositions C of the projection or
+    its complement."""
     if not family:
         raise IdempotentError("empty family")
     n = family[0].n
     if any(a.n != n for a in family):
         raise IdempotentError("family members must share a dimension")
-    values = [[eval_dpoly(b, a) for b in polys] for a in family]
-    lam = set()
-    for row in values:
-        for v in row:
-            for r in v.rows:
-                for x in r:
-                    lam.add(Fraction(x))
-    lambdas = sorted(lam)
-    # C, ordered by (poly index, value index)
-    c_polys: List[DPoly] = []
-    c_meta: List[Tuple[int, int]] = []
-    for bi, b in enumerate(polys):
-        for li, l in enumerate(lambdas):
-            c_polys.append(compose(proj_poly(lambdas, l), b))
-            c_meta.append((bi, li))
-    # indicator profile of each position, per member
-    atoms: Dict[tuple, dict] = {}
-    order: List[tuple] = []
-    for m in range(len(family)):
-        for pos in range(n * n):
-            i, j = divmod(pos, n)
-            profile = tuple(
-                1 if Fraction(values[m][bi].rows[i][j]) == lambdas[li] else 0
-                for bi, li in c_meta
-            )
-            if profile not in atoms:
-                atoms[profile] = {"first": (m, pos), "positions": {}}
-                order.append(profile)
-            atoms[profile]["positions"].setdefault(m, []).append(pos)
-    order.sort(key=lambda pr: atoms[pr]["first"])
-    entries = []
-    for profile in order:
-        factors = [
-            c if bit else Sum((C_ONE, Scaled(-1, c)))
-            for bit, c in zip(profile, c_polys)
+    values = [[eval_dpoly(b, a).rows for b in polys] for a in family]
+    lambdas = sorted(
+        {x for row in values for v in row for r in v for x in r}
+    )
+    # C, ordered by (poly index, value)
+    c_meta = [(bi, l) for bi in range(len(polys)) for l in lambdas]
+    c_polys = [compose(proj_poly(lambdas, l), polys[bi]) for bi, l in c_meta]
+    ids: Dict[tuple, int] = {}
+    colours = [
+        [
+            [
+                ids.setdefault(tuple(v[i][j] for v in vals), len(ids))
+                for j in range(n)
+            ]
+            for i in range(n)
         ]
-        d = circ_product(factors)
-        vals = []
-        for m in range(len(family)):
-            rows = [[0] * n for _ in range(n)]
-            for pos in atoms[profile]["positions"].get(m, ()):
-                rows[pos // n][pos % n] = 1
-            vals.append(Matrix(rows))
-        entries.append(BasisEntry(d, vals))
-    return IdempotentBasis(family_size=len(family), entries=entries)
+        for vals in values
+    ]
+    entries = [
+        circ_product(
+            [
+                c if profile[bi] == l else Sum((C_ONE, Scaled(-1, c)))
+                for (bi, l), c in zip(c_meta, c_polys)
+            ]
+        )
+        for profile in ids
+    ]
+    return IdempotentBasis(entries, colours)
 
 
 # -- full universal basis on the refinement kernel ---------------------
@@ -263,22 +186,13 @@ def universal_basis_full(family: Sequence[Matrix]) -> IdempotentBasis:
     pass's, as products of projections of b_k * b_l onto the counts
     that tell its key from the others, so their evaluations match the
     full subset-product definition on every family member."""
-    polys = [e.dpoly for e in universal_basis(family, [X, B_ONE]).entries]
+    polys = universal_basis(family, [X, B_ONE]).entries
     depth = -1
     for colours, keys in refine(family):
         if keys is not None:
             polys = _split_polys(polys, keys)
         depth += 1
-    n = family[0].n
-    entries = [BasisEntry(p, []) for p in polys]
-    for colour in colours:
-        cells = [[[0] * n for _ in range(n)] for _ in entries]
-        for i, row in enumerate(colour):
-            for j, c in enumerate(row):
-                cells[c][i][j] = 1
-        for e, rows in zip(entries, cells):
-            e.values.append(Matrix(rows))
-    return IdempotentBasis(len(family), entries, depth=depth)
+    return IdempotentBasis(polys, colours, depth=depth)
 
 
 def _split_polys(polys: List[DPoly], keys: List[tuple]) -> List[DPoly]:
@@ -289,13 +203,10 @@ def _split_polys(polys: List[DPoly], keys: List[tuple]) -> List[DPoly]:
     telling its key from each other key that the triples chosen so far
     do not, or the complement of that projection."""
     profiles = [
-        frozenset(
-            (k, l, Fraction(len(list(run))))
-            for (k, l), run in groupby(key)
-        )
+        frozenset((k, l, len(list(run))) for (k, l), run in groupby(key))
         for key in keys
     ]
-    lambdas = sorted({Fraction(0)} | {x for p in profiles for _, _, x in p})
+    lambdas = sorted({0} | {x for p in profiles for _, _, x in p})
     proj: Dict[tuple, DPoly] = {}
 
     def c_poly(t: tuple) -> DPoly:
@@ -335,32 +246,35 @@ def involution_close(
     own transpose, then b, sigma(b) for each atom b whose transpose is
     a later atom, with the transpose pairing.  Transpose reverses the
     matrix product and fixes A, I and J, so it maps every class of a
-    stable partition to a class; a basis whose atoms it does not map to
-    atoms raises IdempotentError."""
+    stable partition to a class: atom k's transpose is the atom
+    tau(k) = colour[j][i] of its positions (i, j), on every member.  A
+    basis where tau disagrees raises IdempotentError."""
     for a in family:
         if not a.is_symmetric():
             raise IdempotentError("family member is not symmetric")
-    entries = basis.entries
-    if any(e.dpoly is None for e in entries):
-        raise IdempotentError("basis entries lack defining polynomials")
-    problems = check_basis(basis)
-    if problems:
-        raise IdempotentError("not a universal basis: " + problems[0])
-    index = {tuple(e.values): k for k, e in enumerate(entries)}
-    tau = [index.get(tuple(v.transpose() for v in e.values)) for e in entries]
+    tau: List[Optional[int]] = [None] * len(basis.entries)
+    for colour in basis.colours:
+        for row, column in zip(colour, zip(*colour)):
+            for c, t in zip(row, column):
+                if tau[c] is None:
+                    tau[c] = t
+                elif tau[c] != t:
+                    raise IdempotentError(
+                        "basis is not closed under transpose"
+                    )
     if None in tau:
-        raise IdempotentError("basis is not closed under transpose")
-    out = [
-        BasisEntry(Circ(e.dpoly, involution(e.dpoly)), list(e.values))
-        for k, e in enumerate(entries)
-        if tau[k] == k
-    ]
+        raise IdempotentError("basis has an atom that no member realizes")
+    entries = basis.entries
+    renumber = [k for k in range(len(entries)) if tau[k] == k]
+    out = [Circ(entries[k], involution(entries[k])) for k in renumber]
     pairing = list(range(len(out)))
-    for k, e in enumerate(entries):
+    for k, p in enumerate(entries):
         if tau[k] > k:
             pairing += [len(out) + 1, len(out)]
-            out.append(BasisEntry(e.dpoly, list(e.values)))
-            out.append(
-                BasisEntry(involution(e.dpoly), list(entries[tau[k]].values))
-            )
-    return IdempotentBasis(len(family), out, involution_pairing=pairing)
+            out += [p, involution(p)]
+            renumber += [k, tau[k]]
+    new = {k: i for i, k in enumerate(renumber)}
+    colours = [
+        [[new[c] for c in row] for row in colour] for colour in basis.colours
+    ]
+    return IdempotentBasis(out, colours, involution_pairing=pairing)

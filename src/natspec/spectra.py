@@ -191,12 +191,16 @@ def make_merge_plan(m: int, b: int, n: int, compact: bool = False) -> MergePlan:
     if m == 2:
         return MergePlan(m, b, n, z2, (1, z2), "m2", (0, 1))
     if compact:
+        # a running product: z2**i for each i costs a power of a long int
+        weights = [1]
+        for _ in range(m - 1):
+            weights.append(weights[-1] * z2)
         return MergePlan(
             m,
             b,
             n,
             z2,
-            tuple(z2**i for i in range(m)),
+            tuple(weights),
             "geometric",
             tuple(range(m)),
         )
@@ -303,42 +307,44 @@ def build_ds_dpoly(family: Sequence[Graph]) -> DsBundle:
     n = family[0].n
     if any(g.n != n for g in family):
         raise SpectrumError("family members must share a vertex count")
+    if n == 0:
+        raise SpectrumError("family members have no vertices")
     mats = [g.adjacency_matrix() for g in family]
     basis = involution_close(universal_basis_full(mats), mats)
     sigma = basis.involution_pairing
-    entries = basis.entries
-    members = range(len(mats))
-    nonzero = [
-        {k for k, e in enumerate(entries) if not e.values[m].is_zero()}
-        for m in members
-    ]
+    polys = basis.entries
+    # each member's atoms as lists of positions, and for each pair of
+    # atoms (i, j) the members on which both are nonzero
+    cells: List[Dict[int, List[Tuple[int, int]]]] = []
+    pairs: Dict[Tuple[int, int], List[int]] = {}
+    for m, colour in enumerate(basis.colours):
+        cell: Dict[int, List[Tuple[int, int]]] = {}
+        for r, row in enumerate(colour):
+            for t, c in enumerate(row):
+                cell.setdefault(c, []).append((r, t))
+        cells.append(cell)
+        for i in cell:
+            for j in cell:
+                pairs.setdefault((i, j), []).append(m)
 
     # D, indexed by the symmetrization-orbit of the pair (i, j):
-    # sigma_x(b_i * x * b_j) = sigma(b_j) * x * sigma(b_i); b_i A b_j
-    # is zero on a member where b_i or b_j is
+    # sigma_x(b_i * x * b_j) = sigma(b_j) * x * sigma(b_i), so a pair
+    # is taken only where it comes first in its orbit; b_i A b_j is
+    # zero on a member where b_i or b_j is
     probes: List[DPoly] = []
     probe_values: List[List[Matrix]] = []
-    seen = set()
     zero = Matrix.zero(n)
-    for i in range(len(entries)):
-        for j in range(len(entries)):
-            orbit = frozenset(((i, j), (sigma[j], sigma[i])))
-            if orbit in seen:
-                continue
-            seen.add(orbit)
-            both = [m for m in members if i in nonzero[m] and j in nonzero[m]]
-            if not both:
-                continue
-            vals = [zero] * len(mats)
-            for m in both:
-                v = entries[i].values[m].matmul(mats[m])
-                v = v.matmul(entries[j].values[m])
-                vals[m] = v + v.transpose()
-            if all(vals[m].is_zero() for m in both):
-                continue
-            c = Bullet(entries[i].dpoly, Bullet(X, entries[j].dpoly))
-            probes.append(Sum((c, involution(c))))
-            probe_values.append(vals)
+    for (i, j), both in sorted(pairs.items()):
+        if (sigma[j], sigma[i]) < (i, j):
+            continue
+        vals = [zero] * len(mats)
+        for m in both:
+            vals[m] = _probe_value(cells[m][i], cells[m][j], mats[m].rows)
+        if all(vals[m].is_zero() for m in both):
+            continue
+        c = Bullet(polys[i], Bullet(X, polys[j]))
+        probes.append(Sum((c, involution(c))))
+        probe_values.append(vals)
 
     plan = make_merge_plan(max(len(probes), 1), 1, n, compact=True)
     p = Sum(
@@ -347,7 +353,7 @@ def build_ds_dpoly(family: Sequence[Graph]) -> DsBundle:
         )
     )
     # a member is full when the family partition has n^2 classes on it
-    full = [len(nz) == n * n for nz in nonzero]
+    full = [len(cell) == n * n for cell in cells]
     return DsBundle(
         n=n,
         p=p,
@@ -357,6 +363,21 @@ def build_ds_dpoly(family: Sequence[Graph]) -> DsBundle:
         plan=plan,
         fingerprint=family_fingerprint(family),
         full_members=full,
+    )
+
+
+def _probe_value(cell_i: list, cell_j: list, a: tuple) -> Matrix:
+    """b_i A b_j plus its transpose on one member, where b_i and b_j
+    are the indicators of the positions cell_i and cell_j: entry (r, s)
+    of b_i A b_j sums a[t][u] over (r, t) in cell_i and (u, s) in
+    cell_j."""
+    v = [[0] * len(a) for _ in a]
+    for r, t in cell_i:
+        a_t, v_r = a[t], v[r]
+        for u, s in cell_j:
+            v_r[s] += a_t[u]
+    return Matrix(
+        [[x + y for x, y in zip(row, col)] for row, col in zip(v, zip(*v))]
     )
 
 

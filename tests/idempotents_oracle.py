@@ -1,5 +1,9 @@
 """Slow reference for the family basis and its involution closure.
 
+`DenseBasis` holds a basis the dense way: each atom's polynomial and its
+0/1 value on every member as a `Matrix`; `dense` reads a
+`natspec.idempotents.IdempotentBasis` into it through `value(k, m)`,
+and `check_basis` checks universality on the dense values.
 `oracle_universal_basis_full` alternates dense pairwise matrix products
 of the current atoms with Hadamard-atom refinement until every member's
 position partition stabilizes.  `oracle_involution_close` strictifies
@@ -11,6 +15,7 @@ colour classes or transpose lookups, so the differential tests compare
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,13 +35,78 @@ from natspec.dpoly import (
     proj_poly,
 )
 from natspec.exact import Matrix
-from natspec.idempotents import (
-    BasisEntry,
-    IdempotentBasis,
-    IdempotentError,
-    check_basis,
-    universal_basis,
-)
+from natspec.idempotents import IdempotentBasis, IdempotentError, universal_basis
+
+
+# -- the dense container ----------------------------------------------
+
+@dataclass
+class BasisEntry:
+    """One universal-basis element: its defining double polynomial and
+    its value on each family member, indexed by position in the
+    family."""
+
+    dpoly: DPoly
+    values: List[Matrix]
+
+
+@dataclass
+class DenseBasis:
+    family_size: int
+    entries: List[BasisEntry]
+    involution_pairing: Optional[List[int]] = None
+    depth: int = 0
+
+    def values_on(self, member: int) -> List[Matrix]:
+        return [e.values[member] for e in self.entries]
+
+    def nonzero_values_on(self, member: int) -> List[Matrix]:
+        return [v for v in self.values_on(member) if not v.is_zero()]
+
+
+def dense(basis: IdempotentBasis) -> DenseBasis:
+    """The basis with every atom's value on every member as a Matrix."""
+    members = range(basis.family_size)
+    return DenseBasis(
+        basis.family_size,
+        [
+            BasisEntry(p, [basis.value(k, m) for m in members])
+            for k, p in enumerate(basis.entries)
+        ],
+        basis.involution_pairing,
+        basis.depth,
+    )
+
+
+def check_basis(basis: DenseBasis) -> List[str]:
+    """Universality diagnostics: per member, nonzero values must be
+    distinct 0/1 matrices, pairwise Hadamard-orthogonal, summing to J.
+    Returns a list of violation messages (empty = all good)."""
+    problems = []
+    for m in range(basis.family_size):
+        vals = basis.nonzero_values_on(m)
+        if not vals:
+            problems.append("member %d: no nonzero values" % m)
+            continue
+        n = vals[0].n
+        total = Matrix.zero(n)
+        seen = set()
+        for v in vals:
+            if not v.is_zero_one():
+                problems.append("member %d: non-0/1 value" % m)
+            if v in seen:
+                problems.append("member %d: repeated nonzero value" % m)
+            seen.add(v)
+            total = total + v
+        if total != Matrix.ones(n):
+            problems.append("member %d: values do not sum to J" % m)
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                if not vals[i].hadamard(vals[j]).is_zero():
+                    problems.append(
+                        "member %d: values %d,%d not orthogonal" % (m, i, j)
+                    )
+    return problems
 
 
 # -- strictification --------------------------------------------------
@@ -93,18 +163,19 @@ def _partition_key(vals: List[Matrix], n: int):
 
 def oracle_universal_basis_full(
     family: Sequence[Matrix], depth_cap: int = 12
-) -> IdempotentBasis:
+) -> DenseBasis:
     """A universal idempotent basis for the generated double algebras
     of the family members, by alternating pairwise matrix products with
     Hadamard-atom refinement until every member's position partition
-    stabilizes."""
+    stabilizes; IdempotentError if it has not within depth_cap
+    rounds."""
     if not family:
         raise IdempotentError("empty family")
     n = family[0].n
     if any(a.n != n for a in family):
         raise IdempotentError("family members must share a dimension")
 
-    basis = universal_basis(family, [X, B_ONE])
+    basis = dense(universal_basis(family, [X, B_ONE]))
     prev_parts = [
         _partition_key(basis.values_on(m), n)
         for m in range(len(family))
@@ -115,22 +186,18 @@ def oracle_universal_basis_full(
             _partition_key(nxt.values_on(m), n) for m in range(len(family))
         ]
         if parts == prev_parts:
-            basis.stabilized = True
             basis.depth = depth - 1
             return basis
         basis = nxt
         prev_parts = parts
-    basis.stabilized = False
-    basis.depth = depth_cap
-    basis.diagnostics.append(
+    raise IdempotentError(
         "depth cap %d reached before stabilization" % depth_cap
     )
-    return basis
 
 
 def _refine_by_products(
-    family: Sequence[Matrix], basis: IdempotentBasis
-) -> IdempotentBasis:
+    family: Sequence[Matrix], basis: DenseBasis
+) -> DenseBasis:
     """One filtration round: atoms of the Hadamard algebras generated
     by all pairwise matrix products of the current atoms."""
     n = family[0].n
@@ -220,24 +287,23 @@ def _refine_by_products(
                 rows[pos // n][pos % n] = 1
             vals.append(Matrix(rows))
         entries.append(BasisEntry(d, vals))
-    return IdempotentBasis(family_size=len(family), entries=entries)
+    return DenseBasis(family_size=len(family), entries=entries)
 
 
 # -- involution closure by strictification -----------------------------
 
 def oracle_involution_close(
-    basis: IdempotentBasis, family: Sequence[Matrix]
-) -> IdempotentBasis:
+    basis: DenseBasis, family: Sequence[Matrix]
+) -> DenseBasis:
     """A strict universal basis closed under the involution: built from
     the ordered weak sequence (all b o sigma(b) first, then the b,
     sigma(b) pairs), strictified, with the transpose-pairing
-    permutation recovered and verified on the family."""
+    permutation recovered and verified on the family; IdempotentError
+    if any of that fails."""
     for a in family:
         if not a.is_symmetric():
             raise IdempotentError("family member is not symmetric")
     polys = [e.dpoly for e in basis.entries]
-    if any(p is None for p in polys):
-        raise IdempotentError("basis entries lack defining polynomials")
     sig = [involution(p) for p in polys]
     weak: List[DPoly] = [Circ(p, s) for p, s in zip(polys, sig)]
     weak_vals: List[List[Matrix]] = [
@@ -264,31 +330,21 @@ def oracle_involution_close(
     entries = [
         BasisEntry(strict[i], strict_vals[i]) for i in keep
     ]
-    out = IdempotentBasis(family_size=len(family), entries=entries)
+    out = DenseBasis(family_size=len(family), entries=entries)
 
     problems = check_basis(out)
     if problems:
-        out.diagnostics.extend(
-            ["weak universality failed: " + p for p in problems]
-        )
-        return out
+        raise IdempotentError("weak universality failed: " + problems[0])
 
     # recover the transpose pairing from the values
-    pairing: List[Optional[int]] = [None] * len(entries)
-    index = {}
+    index = {tuple(e.values): i for i, e in enumerate(entries)}
+    pairing = []
     for i, e in enumerate(entries):
-        index[tuple(e.values)] = i
-    for i, e in enumerate(entries):
-        target = tuple(v.transpose() for v in e.values)
-        j = index.get(target)
+        j = index.get(tuple(v.transpose() for v in e.values))
         if j is None:
-            out.diagnostics.append(
-                "no transpose partner for entry %d" % i
-            )
-            return out
-        pairing[i] = j
+            raise IdempotentError("no transpose partner for entry %d" % i)
+        pairing.append(j)
     if any(pairing[pairing[i]] != i for i in range(len(entries))):
-        out.diagnostics.append("transpose pairing is not an involution")
-        return out
-    out.involution_pairing = [int(p) for p in pairing]
+        raise IdempotentError("transpose pairing is not an involution")
+    out.involution_pairing = pairing
     return out

@@ -182,6 +182,14 @@ class TestDsCommands:
         path.write_text("A_\nB_\n")
         assert main(["ds-build", "--corpus", str(path)]) == EXIT_INPUT
 
+    def test_zero_vertex_corpus_rejected(self, tmp_path, capsys):
+        path = tmp_path / "empty-graph.g6"
+        path.write_text("?\n")
+        out = tmp_path / "bundle.json"
+        assert main(["ds-build", "--corpus", str(path), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: family members have no vertices\n"
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_bes_frequency_deterministic(self, tmp_path):
@@ -232,6 +240,15 @@ class TestExperiment:
         assert data["spectrum_collisions"] == []
         assert data["full_pairs_separated"] is True
 
+    def test_ds_family_zero_vertex_corpus_rejected(self, tmp_path, capsys):
+        corpus = tmp_path / "empty-graph.g6"
+        corpus.write_text("?\n?\n")
+        out = tmp_path / "report.json"
+        argv = ["experiment", "--mode", "ds_family", "--corpus", str(corpus), "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: family members have no vertices\n"
+        assert not out.exists()
+
     def test_ds_family_ignores_trials(self, tmp_path):
         corpus = tmp_path / "c.g6"
         corpus.write_text(
@@ -264,11 +281,13 @@ class TestExperiment:
 class TestBundleFormat:
     # sha256 of each section's JSON (indent 2, sorted keys) in the
     # 3-vertex family's bundle, pinned when probes became node indices:
-    # every section but probes is unchanged by that
+    # every section but probes is unchanged by that.  basis is re-pinned
+    # for its dropped "stabilized" and "diagnostics" keys only: it is
+    # the earlier basis section with those two keys deleted
     SECTIONS = {
         "p_dag": "26965bf8fdf47fce0ae0b172fc6dc02c20150ea0aa7d074c5a4618263fba3f10",
         "plan": "9bc7d53de80bc5f8b88b5beebee9d0d8f50879da27e997b27525487f00870c13",
-        "basis": "8ce35dbd17238493635074d206d284562e3e8f2c611dddcf271b6bbffafa0efa",
+        "basis": "f529b8978300905e93d8bdaf49e78150a466f5d6b9e18c9e9f8b24d65cae0e84",
         "member_spectra": "b9227424ed9adef9a398ba6f16b08908d3cb835ef9b37b7c03a8f409002cb8d8",
         "stats": "1529d0de2806a9a3e848b751ff8c0f9418fa96a4bf7d344ce22d891ee608f276",
         "fingerprint": "1a5785e45334b25a9db2d75a761d09b0b327d2eb7d940327eb808c51649f1532",

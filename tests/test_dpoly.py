@@ -245,6 +245,17 @@ class TestNormalization:
     def test_order_matters(self):
         assert not structurally_equal(Sum((X, B_ONE)), Sum((B_ONE, X)))
 
+    def test_nested_negated_sums_print_once(self):
+        # x - (x - (... - x)): each level reprints its negated term's
+        # text, so printing it takes exponential time unless the texts
+        # are shared
+        p, text = X, "x"
+        for _ in range(40):
+            p = Sum((X, Scaled(-1, p)))
+            text = "x - " + (text if text == "x" else "(" + text + ")")
+        assert print_dpoly(p) == text
+        assert parse(text) is p
+
 
 def _fraction_matrix(seed: int, n: int) -> Matrix:
     """A seeded non-symmetric rational matrix."""

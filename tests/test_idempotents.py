@@ -1,11 +1,12 @@
 """Primitive Hadamard idempotents and universal bases."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from natspec.closure import generated_double_algebra
-from natspec.dpoly import B_ONE, X, eval_dpoly, parse, proj_poly, circ_spectrum
+from natspec.dpoly import B_ONE, X, circ_spectrum, eval_dpoly, normalize, parse, proj_poly
 from natspec.exact import Matrix
 from natspec.graphs import (
     complete_graph,
@@ -17,7 +18,6 @@ from natspec.graphs import (
 from natspec.idempotents import (
     IdempotentBasis,
     IdempotentError,
-    check_basis,
     involution_close,
     primitive_circ_idempotents,
     universal_basis,
@@ -32,6 +32,8 @@ from closure_oracle import (
 )
 from conftest import random_zero_one_symmetric
 from idempotents_oracle import (
+    check_basis,
+    dense,
     oracle_involution_close,
     oracle_universal_basis_full,
     strictify,
@@ -108,7 +110,7 @@ class TestUniversalBasis:
             complete_graph(2).adjacency_matrix(),
             Matrix.zero(2),
         ]
-        basis = universal_basis(fam, [X, B_ONE])
+        basis = dense(universal_basis(fam, [X, B_ONE]))
         assert check_basis(basis) == []
         # on K2, I and J-I are separated; atoms evaluate consistently
         for m in range(2):
@@ -131,7 +133,7 @@ class TestUniversalBasis:
 
     def test_atoms_evaluate_to_their_values(self):
         fam = [g.adjacency_matrix() for g in enumerate_graphs(3)]
-        basis = universal_basis(fam, [X, B_ONE])
+        basis = dense(universal_basis(fam, [X, B_ONE]))
         assert check_basis(basis) == []
         for e in basis.entries:
             for m, a in enumerate(fam):
@@ -141,7 +143,7 @@ class TestUniversalBasis:
         # any generating polynomial's value is recovered from the atoms:
         # x(a) = sum over atoms of (constant value of x on that atom) * atom
         fam = [path_graph(3).adjacency_matrix()]
-        basis = universal_basis(fam, [X, B_ONE])
+        basis = dense(universal_basis(fam, [X, B_ONE]))
         a = fam[0]
         total = Matrix.zero(3)
         for e in basis.entries:
@@ -179,8 +181,7 @@ class TestStrictify:
 
     def test_preserves_totals(self, rng):
         fam = [random_zero_one_symmetric(rng, 3) for _ in range(2)]
-        basis = universal_basis(fam, [X, B_ONE])
-        polys = [e.dpoly for e in basis.entries]
+        polys = universal_basis(fam, [X, B_ONE]).entries
         strict = strictify(polys, fam)
         for m, a in enumerate(fam):
             before = [eval_dpoly(p, a) for p in polys]
@@ -193,8 +194,7 @@ class TestStrictify:
 class TestUniversalBasisFull:
     def test_matches_closure_oracle_n3(self):
         fams = [g.adjacency_matrix() for g in enumerate_graphs(3)]
-        basis = universal_basis_full(fams)
-        assert basis.stabilized
+        basis = dense(universal_basis_full(fams))
         assert check_basis(basis) == []
         for m, a in enumerate(fams):
             oracle = set(profile_idempotents(oracle_closure(a).basis))
@@ -203,7 +203,7 @@ class TestUniversalBasisFull:
 
     def test_single_member_petersen(self):
         fam = [petersen_graph().adjacency_matrix()]
-        basis = universal_basis_full(fam)
+        basis = dense(universal_basis_full(fam))
         vals = basis.nonzero_values_on(0)
         assert len(vals) == 3
         assert set(vals) == {
@@ -213,11 +213,13 @@ class TestUniversalBasisFull:
         }
 
     def test_dpolys_realize_values(self):
-        fam = [g.adjacency_matrix() for g in enumerate_graphs(2)]
-        basis = universal_basis_full(fam)
-        for e in basis.entries:
-            for m, a in enumerate(fam):
-                assert eval_dpoly(e.dpoly, a) == e.values[m]
+        # value(k, m) is what entries[k] evaluates to on member m
+        for n in range(1, 5):
+            fam = [g.adjacency_matrix() for g in enumerate_graphs(n)]
+            basis = universal_basis_full(fam)
+            for k, p in enumerate(basis.entries):
+                for m, a in enumerate(fam):
+                    assert eval_dpoly(p, a) == basis.value(k, m)
 
     def test_class_split_across_members_only_stays_merged(self):
         # the zero matrix and K3 share the class of I, which the next
@@ -226,7 +228,7 @@ class TestUniversalBasisFull:
         basis = universal_basis_full(fam)
         assert len(basis.entries) == 3
         assert basis.depth == 0
-        assert basis.stabilized
+        assert dense(basis) == oracle_universal_basis_full(fam)
 
     def test_atom_counts_and_depths(self):
         for n, atoms, depth in ((3, 11, 1), (4, 24, 1)):
@@ -238,37 +240,38 @@ class TestUniversalBasisFull:
         fams = [[g.adjacency_matrix() for g in enumerate_graphs(n)] for n in range(1, 5)]
         fams += random_families(rng, 6)
         for fam in fams:
-            assert (
-                universal_basis_full(fam).to_json()
-                == oracle_universal_basis_full(fam).to_json()
-            )
+            assert dense(universal_basis_full(fam)) == oracle_universal_basis_full(fam)
 
     def test_json_round_trip(self):
-        fam = [g.adjacency_matrix() for g in enumerate_graphs(2)]
+        # the JSON form's values read back as value(k, m), and its
+        # polynomials parse back to the entries
+        fam = [g.adjacency_matrix() for g in enumerate_graphs(3)]
         basis = universal_basis_full(fam)
-        back = IdempotentBasis.from_json(basis.to_json())
-        assert back.family_size == basis.family_size
-        for e1, e2 in zip(basis.entries, back.entries):
-            assert e1.values == e2.values
+        data = json.loads(json.dumps(basis.to_json()))
+        assert data["family_size"] == basis.family_size == len(fam)
+        assert data["depth"] == basis.depth
+        assert len(data["entries"]) == len(basis.entries)
+        for k, rec in enumerate(data["entries"]):
+            assert normalize(parse(rec["dpoly"])) is normalize(basis.entries[k])
+            for m, v in enumerate(rec["values"]):
+                assert Matrix.from_json(v) == basis.value(k, m)
 
 
 class TestInvolutionClose:
     def test_symmetric_family_pairing(self):
         fam = [g.adjacency_matrix() for g in enumerate_graphs(3)]
         closed = involution_close(universal_basis_full(fam), fam)
-        assert closed.diagnostics == []
-        assert closed.involution_pairing is not None
         pairing = closed.involution_pairing
-        for i, e in enumerate(closed.entries):
-            partner = closed.entries[pairing[i]]
-            for v, w in zip(e.values, partner.values):
-                assert v.transpose() == w
+        assert pairing is not None
+        for k in range(len(closed.entries)):
+            for m in range(len(fam)):
+                assert closed.value(k, m).transpose() == closed.value(pairing[k], m)
         assert all(pairing[pairing[i]] == i for i in range(len(pairing)))
 
     def test_still_a_universal_basis(self):
         fam = [g.adjacency_matrix() for g in enumerate_graphs(3)]
         closed = involution_close(universal_basis_full(fam), fam)
-        assert check_basis(closed) == []
+        assert check_basis(dense(closed)) == []
 
     def test_not_closed_under_transpose_rejected(self):
         # the atoms of x*J on P3 are rows, whose transposes are columns
@@ -285,7 +288,16 @@ class TestInvolutionClose:
             got = involution_close(universal_basis_full(fam), fam)
             want = oracle_involution_close(oracle_universal_basis_full(fam), fam)
             assert want.involution_pairing is not None
-            assert got.to_json() == want.to_json()
+            assert dense(got) == want
+
+    def test_transpose_classes_disagreeing_across_members_rejected(self):
+        # each member alone is closed under transpose, but the colour-1
+        # class is its own transpose on member 0 and colour 2's on
+        # member 1
+        fam = [Matrix.zero(2), Matrix.zero(2)]
+        basis = IdempotentBasis([B_ONE, X, X], [[[0, 1], [1, 0]], [[0, 1], [2, 0]]])
+        with pytest.raises(IdempotentError):
+            involution_close(basis, fam)
 
     def test_asymmetric_rejected(self):
         m = Matrix([[0, 1], [0, 0]])

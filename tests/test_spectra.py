@@ -140,6 +140,11 @@ class TestMergePlans:
         with pytest.raises(SpectrumError):
             demerge(spectrum_of(merge_matrices([a, a, a], plan)), plan)
 
+    def test_geometric_weights_are_powers(self):
+        for m, b, n in ((3, 1, 2), (4, 1, 3), (7, 2, 4), (40, 1, 6)):
+            plan = make_merge_plan(m, b, n, compact=True)
+            assert plan.weights == tuple(plan.z**i for i in range(m))
+
     def test_bad_parameters(self):
         with pytest.raises(SpectrumError):
             make_merge_plan(0, 1, 2)
