@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
@@ -44,17 +42,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 EXIT_POLY = 3
-
-
-@dataclass
-class ExperimentConfig:
-    n: int
-    trials: int
-    seed: int
-    mode: str  # bes_frequency | certify_and_confirm | ds_family
-    out: Optional[str] = None
-    threads: int = 1
-    corpus: Optional[str] = None
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -182,20 +169,29 @@ def _member_spectra(bundle: DsBundle, family: List[Graph]) -> List[Spectrum]:
 
 
 def _bundle_to_json(bundle: DsBundle, family: List[Graph]) -> dict:
-    from .dpoly import dpoly_to_json, node_count, subterm_indices
+    from .dpoly import Sum, dpoly_to_json, subterm_indices
 
     # per-member spectra, so ds-check does not recompute the family
     specs = _member_spectra(bundle, family)
+    basis = bundle.basis
+    atoms = Sum(basis.entries)
     return {
         "version": __version__,
         "n": bundle.n,
         "fingerprint": bundle.fingerprint,
         "plan": bundle.plan.to_json(),
         "p_dag": dpoly_to_json(bundle.p),
-        "p_nodes": node_count(bundle.p),
         # every probe is a node of p: stored as its index in p_dag
         "probes": subterm_indices(bundle.p, bundle.probes),
-        "basis": bundle.basis.to_json(),
+        # the family partition: atoms share one node list, and colour k
+        # of a member's colours is atom k
+        "basis": {
+            "nodes": dpoly_to_json(atoms)["nodes"],
+            "entries": subterm_indices(atoms, basis.entries),
+            "colours": basis.colours,
+            "involution_pairing": basis.involution_pairing,
+            "depth": basis.depth,
+        },
         "full_members": list(bundle.full_members),
         "member_graph6": [graph6_emit(g) for g in family],
         "member_spectra": [s.to_json() for s in specs],
@@ -289,32 +285,35 @@ def _map_trials(fn, tasks, threads: int):
     return [fn(t) for t in tasks]
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    report = {"version": __version__, "mode": cfg.mode}
-    if cfg.mode != "ds_family":
-        if cfg.trials < 1:
+def run_experiment(args) -> dict:
+    """The report of one `experiment` run, from its parsed arguments."""
+    if args.threads < 1:
+        raise ValueError("threads must be >= 1")
+    report = {"version": __version__, "mode": args.mode}
+    if args.mode != "ds_family":
+        if args.trials < 1:
             raise ValueError("trials must be >= 1")
-        report.update(n=cfg.n, trials=cfg.trials, seed=cfg.seed)
-    tasks = [(cfg.n, cfg.seed, i) for i in range(cfg.trials)]
-    if cfg.mode == "bes_frequency":
-        results = _map_trials(_bes_trial, tasks, cfg.threads)
+        report.update(n=args.n, trials=args.trials, seed=args.seed)
+    tasks = [(args.n, args.seed, i) for i in range(args.trials)]
+    if args.mode == "bes_frequency":
+        results = _map_trials(_bes_trial, tasks, args.threads)
         passes = sum(results)
         report["bes_pass_count"] = passes
-        report["bes_pass_rate"] = _frac(passes, cfg.trials)
-    elif cfg.mode == "certify_and_confirm":
-        results = _map_trials(_certify_trial, tasks, cfg.threads)
+        report["bes_pass_rate"] = _frac(passes, args.trials)
+    elif args.mode == "certify_and_confirm":
+        results = _map_trials(_certify_trial, tasks, args.threads)
         certified = [r for r in results if r[0] == "certified"]
         confirmed = [r for r in certified if r[1]]
         report["certified"] = len(certified)
-        report["certified_rate"] = _frac(len(certified), cfg.trials)
+        report["certified_rate"] = _frac(len(certified), args.trials)
         report["full_dim_confirmed"] = len(confirmed)
         report["counterexamples"] = len(certified) - len(confirmed)
-    elif cfg.mode == "ds_family":
-        if not cfg.corpus:
+    elif args.mode == "ds_family":
+        if not args.corpus:
             raise ValueError("ds_family mode needs --corpus")
         from .spectra import build_ds_dpoly
 
-        family = _read_corpus(cfg.corpus)
+        family = _read_corpus(args.corpus)
         bundle = build_ds_dpoly(family)
         specs = _member_spectra(bundle, family)
         full = bundle.full_members
@@ -335,26 +334,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         )
         report["stats"] = _ds_stats(bundle, specs)
     else:
-        raise ValueError("unknown mode %r" % cfg.mode)
+        raise ValueError("unknown mode %r" % args.mode)
     return report
 
 
 def cmd_experiment(args) -> int:
-    threads = args.threads or int(os.environ.get("NATSPEC_THREADS", "1"))
-    cfg = ExperimentConfig(
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        mode=args.mode,
-        out=args.out,
-        threads=threads,
-        corpus=args.corpus,
-    )
     try:
-        report = run_experiment(cfg)
+        report = run_experiment(args)
     except ValueError as e:
         return _fail(str(e), EXIT_INPUT)
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -400,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--corpus")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_experiment)

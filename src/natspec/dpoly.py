@@ -274,15 +274,6 @@ def node_count(p: DPoly) -> int:
     return len(_postorder(p))
 
 
-def tree_size(p: DPoly) -> int:
-    """Nodes of p written out as a tree, each shared subterm once per
-    use."""
-    size = {}
-    for node in _postorder(p):
-        size[node] = 1 + sum(size[c] for c in _children(node))
-    return size[p]
-
-
 # -- evaluation ------------------------------------------------------
 
 # Opcodes of the straight-line program eval_dpoly runs.

@@ -165,8 +165,7 @@ class Matrix:
 
     def __hash__(self):
         if self._hash is None:
-            norm = tuple(tuple(Fraction(x) for x in r) for r in self.rows)
-            self._hash = hash(norm)
+            self._hash = hash(self.rows)
         return self._hash
 
     def is_zero(self) -> bool:

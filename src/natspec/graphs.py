@@ -519,14 +519,17 @@ def bes_statistics(g: Graph, r: Optional[int] = None) -> BesReport:
 
 
 def best_feasible_r(g: Graph) -> Optional[int]:
-    """Largest r for which both report conditions hold, if any."""
+    """Largest r >= 1 for which both report conditions hold, if any.
+
+    The degree condition holds exactly for r up to the strictly
+    decreasing prefix of the sorted degrees.  Within it, distinct
+    signatures at r stay distinct at r + 1 (fewer rows, each with one
+    more column), so only the prefix itself needs testing."""
     degs = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
-    d = [degs[v] for v in order]
+    d = sorted(degs, reverse=True)
     prefix = 0
     while prefix < g.n - 1 and d[prefix] > d[prefix + 1]:
         prefix += 1
-    for r in range(prefix, 0, -1):
-        if bes_statistics(g, r=r).passed:
-            return r
+    if prefix and bes_statistics(g, r=prefix).passed:
+        return prefix
     return None

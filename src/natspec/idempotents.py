@@ -22,12 +22,12 @@ closure is a lookup of each class's transpose class.
 A basis is held as that partition: one polynomial per atom, and per
 member an n x n array of colours, colour k meaning atom k.  The 0/1
 value of an atom on a member is built only on request
-(`IdempotentBasis.value`, and the JSON form).
+(`IdempotentBasis.value`); a bundle writes the partition itself
+(`cli._bundle_to_json`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, List, Optional, Sequence
@@ -44,13 +44,9 @@ from .dpoly import (
     Sum,
     circ_product,
     compose,
-    dpoly_to_json,
     eval_dpoly,
     involution,
-    normalize,
-    print_dpoly,
     proj_poly,
-    tree_size,
 )
 from .exact import Matrix
 
@@ -95,35 +91,6 @@ class IdempotentBasis:
     def value(self, k: int, m: int) -> Matrix:
         """Atom k's 0/1 value on member m."""
         return Matrix([[int(c == k) for c in row] for row in self.colours[m]])
-
-    def to_json(self) -> dict:
-        members = range(self.family_size)
-        return {
-            "family_size": self.family_size,
-            "entries": [
-                dict(
-                    _dpoly_record(p),
-                    values=[self.value(k, m).to_json() for m in members],
-                )
-                for k, p in enumerate(self.entries)
-            ],
-            "involution_pairing": self.involution_pairing,
-            "depth": self.depth,
-        }
-
-
-def _dpoly_record(p: DPoly) -> dict:
-    """p's shorter JSON form: its text, which spells out every shared
-    subterm at each use, or its DAG, which lists each node once.  The
-    text is only printed when the DAG is at least as long as the tree,
-    since every tree node prints at least one character."""
-    dag = dpoly_to_json(p)
-    size = len(json.dumps(dag))
-    if tree_size(normalize(p)) <= size:
-        text = print_dpoly(p)
-        if len(text) <= size:
-            return {"dpoly": text}
-    return {"dpoly_dag": dag}
 
 
 # -- universal basis from explicit building polynomials ---------------

@@ -63,16 +63,6 @@ class Spectrum:
         if self.coeffs and self.coeffs[0] != 1:
             raise SpectrumError("characteristic polynomial must be monic")
 
-    def __eq__(self, other):
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash((self.n, tuple(Fraction(x) for x in self.coeffs)))
-
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [format_scalar(c) for c in self.coeffs]}
 

@@ -11,7 +11,8 @@ import pytest
 
 import natspec
 from natspec.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, EXIT_POLY, main
-from natspec.dpoly import dpoly_from_json, dpoly_to_json
+from natspec.dpoly import dpoly_from_json, dpoly_to_json, eval_dpoly
+from natspec.exact import Matrix
 from natspec.graphs import enumerate_graphs, graph6_emit, petersen_graph
 from natspec.spectra import build_ds_dpoly
 
@@ -146,7 +147,8 @@ class TestDsCommands:
         stats = {"atoms": 11, "probes": 15, "p_nodes": 240, "max_coeff_bits": 271}
         assert bundle["stats"] == stats
         assert json.loads(outs["experiment", 0])["stats"] == stats
-        assert bundle["p_nodes"] == len(bundle["p_dag"]["nodes"]) == 240
+        assert bundle["stats"]["p_nodes"] == len(bundle["p_dag"]["nodes"])
+        assert "p_nodes" not in bundle
 
     def test_script_writes_the_cli_bundle(self, corpus, tmp_path):
         script_out = tmp_path / "script.json"
@@ -224,6 +226,14 @@ class TestExperiment:
             == EXIT_INPUT
         )
 
+    def test_zero_threads_rejected(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["experiment", "--mode", "bes_frequency", "--n", "8",
+                "--trials", "3", "--threads", "0", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: threads must be >= 1\n"
+        assert not out.exists()
+
     def test_ds_family_mode(self, tmp_path):
         corpus = tmp_path / "c.g6"
         corpus.write_text(
@@ -282,12 +292,11 @@ class TestBundleFormat:
     # sha256 of each section's JSON (indent 2, sorted keys) in the
     # 3-vertex family's bundle, pinned when probes became node indices:
     # every section but probes is unchanged by that.  basis is re-pinned
-    # for its dropped "stabilized" and "diagnostics" keys only: it is
-    # the earlier basis section with those two keys deleted
+    # for its partition form (shared nodes, entry indices, colours)
     SECTIONS = {
         "p_dag": "26965bf8fdf47fce0ae0b172fc6dc02c20150ea0aa7d074c5a4618263fba3f10",
         "plan": "9bc7d53de80bc5f8b88b5beebee9d0d8f50879da27e997b27525487f00870c13",
-        "basis": "f529b8978300905e93d8bdaf49e78150a466f5d6b9e18c9e9f8b24d65cae0e84",
+        "basis": "8b0a619e9d6f4152a6be73d016e3e8af86ece3316535e91495f06b4e3069371b",
         "member_spectra": "b9227424ed9adef9a398ba6f16b08908d3cb835ef9b37b7c03a8f409002cb8d8",
         "stats": "1529d0de2806a9a3e848b751ff8c0f9418fa96a4bf7d344ce22d891ee608f276",
         "fingerprint": "1a5785e45334b25a9db2d75a761d09b0b327d2eb7d940327eb808c51649f1532",
@@ -307,6 +316,23 @@ class TestBundleFormat:
         assert len(data["probes"]) == len(bundle.probes) == 15
         for k, probe in zip(data["probes"], bundle.probes):
             assert dpoly_from_json({"nodes": nodes, "root": k}) is probe
+
+    def test_basis_is_the_partition(self, built):
+        _, data = built
+        family = enumerate_graphs(3)
+        basis = build_ds_dpoly(family).basis
+        section = data["basis"]
+        assert len(section["entries"]) == len(basis.entries) == 11
+        assert section["colours"] == basis.colours
+        assert section["involution_pairing"] == basis.involution_pairing
+        assert section["depth"] == basis.depth
+        for k, root in enumerate(section["entries"]):
+            entry = dpoly_from_json({"nodes": section["nodes"], "root": root})
+            assert entry is basis.entries[k]
+            for m, colours in enumerate(section["colours"]):
+                indicator = Matrix([[int(c == k) for c in row] for row in colours])
+                assert indicator == basis.value(k, m)
+                assert eval_dpoly(entry, family[m].adjacency_matrix()) == indicator
 
     def test_other_sections_unchanged(self, built):
         _, data = built

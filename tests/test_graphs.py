@@ -29,6 +29,8 @@ from natspec.graphs import (
     triangle_count,
 )
 
+from graphs_oracle import oracle_best_feasible_r
+
 
 class TestGraphModel:
     def test_adjacency_round_trip(self):
@@ -210,3 +212,14 @@ class TestBes:
         if r is not None:
             degs = sorted(g.degrees(), reverse=True)
             assert all(degs[i] > degs[i + 1] for i in range(r))
+
+    def test_best_feasible_r_matches_descending_search(self):
+        # one test at the degree prefix against trying every r below it
+        found = 0
+        for n in range(6, 17):
+            for i in range(500):
+                g = random_gnp_half(n, derive_seed(n, i))
+                r = best_feasible_r(g)
+                assert r == oracle_best_feasible_r(g), (n, i)
+                found += r is not None
+        assert found == 8

@@ -1,12 +1,11 @@
 """Primitive Hadamard idempotents and universal bases."""
 
-import json
 from fractions import Fraction
 
 import pytest
 
 from natspec.closure import generated_double_algebra
-from natspec.dpoly import B_ONE, X, circ_spectrum, eval_dpoly, normalize, parse, proj_poly
+from natspec.dpoly import B_ONE, X, circ_spectrum, eval_dpoly, parse, proj_poly
 from natspec.exact import Matrix
 from natspec.graphs import (
     complete_graph,
@@ -241,20 +240,6 @@ class TestUniversalBasisFull:
         fams += random_families(rng, 6)
         for fam in fams:
             assert dense(universal_basis_full(fam)) == oracle_universal_basis_full(fam)
-
-    def test_json_round_trip(self):
-        # the JSON form's values read back as value(k, m), and its
-        # polynomials parse back to the entries
-        fam = [g.adjacency_matrix() for g in enumerate_graphs(3)]
-        basis = universal_basis_full(fam)
-        data = json.loads(json.dumps(basis.to_json()))
-        assert data["family_size"] == basis.family_size == len(fam)
-        assert data["depth"] == basis.depth
-        assert len(data["entries"]) == len(basis.entries)
-        for k, rec in enumerate(data["entries"]):
-            assert normalize(parse(rec["dpoly"])) is normalize(basis.entries[k])
-            for m, v in enumerate(rec["values"]):
-                assert Matrix.from_json(v) == basis.value(k, m)
 
 
 class TestInvolutionClose:

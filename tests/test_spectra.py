@@ -61,6 +61,14 @@ class TestSpectrum:
         s = Spectrum(2, (1, Fraction(-1, 3), 2))
         assert Spectrum.from_json(s.to_json()) == s
 
+    def test_int_and_fraction_coefficients_agree(self):
+        s = Spectrum(2, (1, -3, 2))
+        t = Spectrum(2, (Fraction(1), Fraction(-3), Fraction(4, 2)))
+        assert s == t and hash(s) == hash(t)
+        assert t in {s}
+        assert Spectrum(2, (1, Fraction(-5, 2), 2)) not in {s}
+        assert Spectrum(1, (1, 0)) != Spectrum(2, (1, 0, 0))
+
     def test_strong_spectrum_restricted(self):
         polys = [X, classic_dpoly("laplacian")]
         out = strong_spectrum_restricted(complete_graph(2), polys)
