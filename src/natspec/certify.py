@@ -101,13 +101,14 @@ def bes_certificate(g: Graph, r: Optional[int] = None):
         top_mask = top_mask + b
     low_mask = Matrix.identity(n) - top_mask
     ident = Matrix.identity(n)
-    comp = Matrix.ones(n) - ident - a
+    ones = Matrix.ones(n)
+    comp = ones - ident - a
 
     for j in range(rr, n):
         acc = Matrix.zero(n)
         for i in range(rr):
             piece = a if a.rows[i][j] == 1 else comp
-            acc = acc + piece.matmul(units[i]).matmul(Matrix.ones(n))
+            acc = acc + piece.matmul(units[i]).matmul(ones)
         masked = acc.hadamard(low_mask)
         diag = [masked.rows[k][k] for k in range(n)]
         b = _diag_indicator(diag, rr, n)
@@ -171,9 +172,8 @@ def certificate_dpolys(g: Graph, cert: Certificate) -> List[DPoly]:
     a = _sorted_adjacency(g, cert.order)
     degree_poly = Circ(Bullet(X, X), B_ONE)
     lam_deg = list(range(n))
-    degrees = [
-        a.matmul(a).rows[i][i] for i in range(n)
-    ]
+    squared = a.matmul(a)
+    degrees = [squared.rows[i][i] for i in range(n)]
     polys = [
         compose(proj_poly(lam_deg, degrees[i]), degree_poly)
         for i in range(rr)

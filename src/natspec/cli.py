@@ -206,10 +206,6 @@ def cmd_ds_build(args) -> int:
         family = _read_corpus(args.corpus)
     except (OSError, GraphError) as e:
         return _fail(str(e), EXIT_INPUT)
-    if not family:
-        return _fail("empty corpus", EXIT_INPUT)
-    if len({g.n for g in family}) != 1:
-        return _fail("corpus mixes vertex counts", EXIT_INPUT)
     try:
         bundle = build_ds_dpoly(family)
     except SpectrumError as e:
@@ -227,19 +223,22 @@ def cmd_ds_check(args) -> int:
             data = json.load(fh)
         g1 = graph6_parse(args.graph1)
         g2 = graph6_parse(args.graph2)
+        n, fingerprint = data["n"], data["fingerprint"]
+        p = dpoly_from_json(data["p_dag"])
+    except (KeyError, IndexError, TypeError) as e:
+        return _fail("malformed bundle: %r" % e, EXIT_INPUT)
     except (OSError, ValueError, GraphError) as e:
         return _fail(str(e), EXIT_INPUT)
-    if args.fingerprint and args.fingerprint != data["fingerprint"]:
+    if args.fingerprint and args.fingerprint != fingerprint:
         return _fail("bundle fingerprint mismatch", EXIT_INPUT)
-    if g1.n != data["n"] or g2.n != data["n"]:
+    if g1.n != n or g2.n != n:
         return _fail("graph size does not match the bundle", EXIT_INPUT)
-    p = dpoly_from_json(data["p_dag"])
     s1 = natural_spectrum(p, g1)
     s2 = natural_spectrum(p, g2)
     verdict = "equal_spectrum" if s1 == s2 else "different_spectrum"
     report = {
         "version": __version__,
-        "fingerprint": data["fingerprint"],
+        "fingerprint": fingerprint,
         "verdict": verdict,
         "spectrum1": s1.to_json(),
         "spectrum2": s2.to_json(),
@@ -341,7 +340,7 @@ def run_experiment(args) -> dict:
 def cmd_experiment(args) -> int:
     try:
         report = run_experiment(args)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e), EXIT_INPUT)
     _emit(report, args.out)
     return EXIT_OK

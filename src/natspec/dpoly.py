@@ -18,13 +18,17 @@ literal juxtaposed with an operand is a scalar multiple ("2 x"); a bare
 rational r abbreviates r J.  The postfix "'" applies the involution at
 parse time; `^k` and `^.k` expand to explicit product chains.
 
-Nodes are hash-consed (Filliatre & Conchon 2006): each distinct
-subterm is one node, so a polynomial is a DAG whose size is its number
-of distinct subterms, however large the tree it spells out.  All
-traversals here are iterative and visit each node once; evaluation
-compiles the DAG into a straight-line program over integer
-numerators and denominators.  Coefficients and evaluation are
-rational only.
+Every node is one record: its kind (`x`, `I`, `J`, `scaled`, `sum`,
+`bullet` or `circ`, the strings the JSON form uses), a coefficient
+(scaled nodes only) and a tuple of children.  The seven node classes
+differ only in their kind and constructor, and one table, _KINDS, holds
+what else depends on the kind: its JSON child fields and its printing
+precedence.  Nodes are hash-consed (Filliatre & Conchon 2006): each
+distinct subterm is one node, so a polynomial is a DAG whose size is
+its number of distinct subterms, however large the tree it spells out.
+All traversals here are iterative and visit each node once; evaluation
+runs over the DAG's postorder with integer numerators and
+denominators.  Coefficients and evaluation are rational only.
 """
 
 from __future__ import annotations
@@ -50,30 +54,48 @@ class ParseError(DPolyError):
 
 # -- AST (hash-consed) -------------------------------------------------
 
-# Every node is interned: building a node whose kind, exact coefficient
-# and children equal those of a live node returns that node, so node
-# identity is structural identity and a polynomial is a DAG with one
-# node per distinct subterm.  The table holds its nodes weakly.
+# Every node has one layout: its kind (the JSON kind string, fixed by
+# its class), a coefficient (set on scaled nodes, None on the rest) and
+# a tuple of children.  Nodes are interned: building a node whose kind,
+# exact coefficient and children equal those of a live node returns
+# that node, so node identity is structural identity and a polynomial
+# is a DAG with one node per distinct subterm.  The table holds its
+# nodes weakly.
 _NODES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
-def _intern(cls, key, **fields):
+def _intern(cls, coef, kids: tuple):
+    key = (cls.kind, coef) + kids
     node = _NODES.get(key)
     if node is None:
         node = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(node, name, value)
+        object.__setattr__(node, "coef", coef)
+        object.__setattr__(node, "kids", kids)
         object.__setattr__(node, "_inv", None)
         _NODES[key] = node
     return node
 
 
+def _remake(node: "DPoly", kids: tuple) -> "DPoly":
+    """The node of node's kind and coefficient over other children."""
+    return _intern(type(node), node.coef, kids)
+
+
+def _kid(k: int) -> property:
+    """A read-only view of child k, named as in the JSON form."""
+    return property(lambda node: node.kids[k])
+
+
 class DPoly:
     """Base class.  Nodes are interned, so two nodes are the same
     object exactly when they have the same structure (use
-    structurally_equal for comparison up to normalization)."""
+    structurally_equal for comparison up to normalization).  Each
+    subclass sets its kind; the leaves x, I and J take no arguments."""
 
-    __slots__ = ("__weakref__", "_inv")
+    __slots__ = ("__weakref__", "coef", "kids", "_inv")
+
+    def __new__(cls):
+        return _intern(cls, None, ())
 
     def __setattr__(self, name, value):
         if name != "_inv":
@@ -92,27 +114,23 @@ class DPoly:
 
 class Var(DPoly):
     __slots__ = ()
-
-    def __new__(cls):
-        return _intern(cls, ("x",))
+    kind = "x"
 
 
 class BulletOne(DPoly):
     __slots__ = ()
-
-    def __new__(cls):
-        return _intern(cls, ("I",))
+    kind = "I"
 
 
 class CircOne(DPoly):
     __slots__ = ()
-
-    def __new__(cls):
-        return _intern(cls, ("J",))
+    kind = "J"
 
 
 class Scaled(DPoly):
-    __slots__ = ("coef", "body")
+    __slots__ = ()
+    kind = "scaled"
+    body = _kid(0)
 
     def __new__(cls, coef: Scalar, body: DPoly):
         if isinstance(coef, Fraction):
@@ -120,30 +138,49 @@ class Scaled(DPoly):
                 coef = coef.numerator
         elif not isinstance(coef, int):
             raise DPolyError("coefficient %r is not rational" % (coef,))
-        return _intern(cls, ("scaled", coef, body), coef=coef, body=body)
+        return _intern(cls, coef, (body,))
 
 
 class Sum(DPoly):
-    __slots__ = ("terms",)
+    __slots__ = ()
+    kind = "sum"
+    terms = property(lambda node: node.kids)
 
     def __new__(cls, terms: Iterable[DPoly]):
-        terms = tuple(terms)
-        return _intern(cls, ("sum",) + terms, terms=terms)
+        return _intern(cls, None, tuple(terms))
 
 
 class Bullet(DPoly):
-    __slots__ = ("left", "right")
+    __slots__ = ()
+    kind = "bullet"
+    left, right = _kid(0), _kid(1)
 
     def __new__(cls, left: DPoly, right: DPoly):
-        return _intern(cls, ("bullet", left, right), left=left, right=right)
+        return _intern(cls, None, (left, right))
 
 
 class Circ(DPoly):
-    __slots__ = ("left", "right")
+    __slots__ = ()
+    kind = "circ"
+    left, right = _kid(0), _kid(1)
 
     def __new__(cls, left: DPoly, right: DPoly):
-        return _intern(cls, ("circ", left, right), left=left, right=right)
+        return _intern(cls, None, (left, right))
 
+
+# kind -> (class, JSON child fields, print precedence).  A tuple of
+# field names holds one child index each; a string names the list of
+# all children's indices.  A higher precedence binds tighter; x, I and
+# J are atoms.
+_KINDS = {
+    "x": (Var, (), 5),
+    "I": (BulletOne, (), 5),
+    "J": (CircOne, (), 5),
+    "scaled": (Scaled, ("body",), 2),
+    "sum": (Sum, "terms", 1),
+    "bullet": (Bullet, ("left", "right"), 3),
+    "circ": (Circ, ("left", "right"), 4),
+}
 
 X = Var()
 B_ONE = BulletOne()
@@ -186,16 +223,6 @@ def circ_product(factors) -> DPoly:
     return out
 
 
-def _children(p: DPoly):
-    if isinstance(p, Scaled):
-        return (p.body,)
-    if isinstance(p, Sum):
-        return p.terms
-    if isinstance(p, (Bullet, Circ)):
-        return (p.left, p.right)
-    return ()
-
-
 def _postorder(root: DPoly):
     """Iterative postorder over the DAG, each node once."""
     seen = set()
@@ -210,7 +237,7 @@ def _postorder(root: DPoly):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for ch in _children(node):
+        for ch in node.kids:
             if id(ch) not in seen:
                 stack.append((ch, False))
     return order
@@ -220,8 +247,8 @@ def _rebuild(root: DPoly, make):
     """Bottom-up DAG rewrite: make(node, child_results) -> result."""
     memo = {}
     for node in _postorder(root):
-        memo[id(node)] = make(node, [memo[id(c)] for c in _children(node)])
-    return memo[id(root)]
+        memo[node] = make(node, tuple(memo[c] for c in node.kids))
+    return memo[root]
 
 
 # -- normalization and structural equality ---------------------------
@@ -232,33 +259,26 @@ def normalize(p: DPoly) -> DPoly:
     as a semantic normal form."""
 
     def make(node, kids):
-        if isinstance(node, Scaled):
+        if node.kind == "scaled":
             c, body = node.coef, kids[0]
-            while isinstance(body, Scaled):
+            while body.kind == "scaled":
                 c = c * body.coef
-                body = body.body
+                body = body.kids[0]
             if c == 0:
                 return Sum(())
-            if isinstance(body, Sum) and not body.terms:
+            if body.kind == "sum" and not body.kids:
                 return body
             if c == 1:
                 return body
             return Scaled(c, body)
-        if isinstance(node, Sum):
+        if node.kind == "sum":
             flat = []
             for t in kids:
-                if isinstance(t, Sum):
-                    flat.extend(t.terms)
-                else:
-                    flat.append(t)
+                flat.extend(t.kids if t.kind == "sum" else (t,))
             if len(flat) == 1:
                 return flat[0]
             return Sum(flat)
-        if isinstance(node, Bullet):
-            return Bullet(kids[0], kids[1])
-        if isinstance(node, Circ):
-            return Circ(kids[0], kids[1])
-        return node
+        return _remake(node, kids)
 
     return _rebuild(p, make)
 
@@ -276,38 +296,6 @@ def node_count(p: DPoly) -> int:
 
 # -- evaluation ------------------------------------------------------
 
-# Opcodes of the straight-line program eval_dpoly runs.
-_X, _I, _J, _SCALED, _SUM, _BULLET, _CIRC = range(7)
-
-
-def _compile(p: DPoly) -> list:
-    """The DAG's postorder (the node list dpoly_to_json writes) as a
-    straight-line program: instruction k computes node k into register
-    k from earlier registers."""
-    index = {}
-    prog = []
-    for k, node in enumerate(_postorder(p)):
-        index[node] = k
-        if isinstance(node, Var):
-            prog.append((_X,))
-        elif isinstance(node, BulletOne):
-            prog.append((_I,))
-        elif isinstance(node, CircOne):
-            prog.append((_J,))
-        elif isinstance(node, Scaled):
-            c = Fraction(node.coef)
-            prog.append((_SCALED, index[node.body], c.numerator, c.denominator))
-        elif isinstance(node, Sum):
-            prog.append((_SUM, [index[t] for t in node.terms]))
-        elif isinstance(node, Bullet):
-            prog.append((_BULLET, index[node.left], index[node.right]))
-        elif isinstance(node, Circ):
-            prog.append((_CIRC, index[node.left], index[node.right]))
-        else:
-            raise DPolyError("unknown node %r" % node)
-    return prog
-
-
 def _reduced(nums: list, den: int) -> tuple:
     g = gcd(den, *nums)
     if g == 1:
@@ -318,30 +306,30 @@ def _reduced(nums: list, den: int) -> tuple:
 def eval_dpoly(p: DPoly, a: Matrix) -> Matrix:
     """Evaluate at a rational matrix a: x -> a, I -> identity, J ->
     all-ones, products and sums structurally.  Each distinct subterm is
-    computed once, as a flat row-major list of integer numerators over
-    one positive denominator; only the result is built as a Matrix."""
+    computed once, in the DAG's postorder (the node list dpoly_to_json
+    writes), as a flat row-major list of integer numerators over one
+    positive denominator; only the result is built as a Matrix."""
     n = a.n
     flat = [x for row in a.rows for x in row]
     if not all(isinstance(x, (int, Fraction)) for x in flat):
         raise DPolyError("double polynomials evaluate at rational matrices only")
     den = lcm(*(Fraction(x).denominator for x in flat))
-    gen = ([int(x * den) for x in flat], den)
-    ident = ([int(i == j) for i in range(n) for j in range(n)], 1)
-    ones = ([1] * (n * n), 1)
-    regs: list = []
-    for ins in _compile(p):
-        op = ins[0]
-        if op == _X:
-            regs.append(gen)
-        elif op == _I:
-            regs.append(ident)
-        elif op == _J:
-            regs.append(ones)
-        elif op == _SCALED:
-            nums, d = regs[ins[1]]
-            regs.append(_reduced([v * ins[2] for v in nums], d * ins[3]))
-        elif op == _SUM:
-            terms = [regs[k] for k in ins[1]]
+    leaves = {
+        "x": ([int(x * den) for x in flat], den),
+        "I": ([int(i == j) for i in range(n) for j in range(n)], 1),
+        "J": ([1] * (n * n), 1),
+    }
+    regs = {}
+    for node in _postorder(p):
+        kind = node.kind
+        if kind in leaves:
+            val = leaves[kind]
+        elif kind == "scaled":
+            nums, d = regs[node.kids[0]]
+            c = Fraction(node.coef)
+            val = _reduced([v * c.numerator for v in nums], d * c.denominator)
+        elif kind == "sum":
+            terms = [regs[t] for t in node.kids]
             d = lcm(*(t[1] for t in terms))
             acc = [0] * (n * n)
             for nums, e in terms:
@@ -350,20 +338,18 @@ def eval_dpoly(p: DPoly, a: Matrix) -> Matrix:
                     list(map(add, acc, nums)) if f == 1
                     else [s + f * v for s, v in zip(acc, nums)]
                 )
-            regs.append(_reduced(acc, d))
-        elif op == _BULLET:
-            (x, dx), (y, dy) = regs[ins[1]], regs[ins[2]]
-            rows = [x[i * n : i * n + n] for i in range(n)]
-            cols = [y[j::n] for j in range(n)]
-            regs.append(
-                _reduced(
-                    [sum(map(mul, r, c)) for r in rows for c in cols], dx * dy
-                )
-            )
+            val = _reduced(acc, d)
         else:
-            (x, dx), (y, dy) = regs[ins[1]], regs[ins[2]]
-            regs.append(_reduced(list(map(mul, x, y)), dx * dy))
-    nums, d = regs[-1]
+            (x, dx), (y, dy) = regs[node.kids[0]], regs[node.kids[1]]
+            if kind == "bullet":
+                rows = [x[i * n : i * n + n] for i in range(n)]
+                cols = [y[j::n] for j in range(n)]
+                prod = [sum(map(mul, r, c)) for r in rows for c in cols]
+            else:
+                prod = list(map(mul, x, y))
+            val = _reduced(prod, dx * dy)
+        regs[node] = val
+    nums, d = regs[p]
     vals = nums if d == 1 else [Fraction(v, d) for v in nums]
     return Matrix([vals[i * n : i * n + n] for i in range(n)])
 
@@ -378,22 +364,15 @@ def involution(p: DPoly) -> DPoly:
         if node._inv is not None:
             stack.pop()
             continue
-        kids = _children(node)
-        pending = [c for c in kids if c._inv is None]
+        pending = [c for c in node.kids if c._inv is None]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
-        if isinstance(node, Scaled):
-            inv = Scaled(node.coef, node.body._inv)
-        elif isinstance(node, Sum):
-            inv = Sum(t._inv for t in kids)
-        elif isinstance(node, Bullet):
-            inv = Bullet(node.right._inv, node.left._inv)
-        elif isinstance(node, Circ):
-            inv = Circ(node.right._inv, node.left._inv)
-        else:
-            inv = node
+        kids = tuple(c._inv for c in node.kids)
+        if node.kind in ("bullet", "circ"):
+            kids = kids[::-1]
+        inv = _remake(node, kids)
         node._inv = inv
         inv._inv = node
     return p._inv
@@ -401,21 +380,7 @@ def involution(p: DPoly) -> DPoly:
 
 def compose(f: DPoly, g: DPoly) -> DPoly:
     """Substitute g for the generator in f."""
-
-    def make(node, kids):
-        if isinstance(node, Var):
-            return g
-        if isinstance(node, Scaled):
-            return Scaled(node.coef, kids[0])
-        if isinstance(node, Sum):
-            return Sum(kids)
-        if isinstance(node, Bullet):
-            return Bullet(kids[0], kids[1])
-        if isinstance(node, Circ):
-            return Circ(kids[0], kids[1])
-        return node
-
-    return _rebuild(f, make)
+    return _rebuild(f, lambda node, kids: g if node is X else _remake(node, kids))
 
 
 # -- projection polynomials and entry spectra ------------------------
@@ -611,15 +576,10 @@ class _Parser:
 
     def primary(self) -> DPoly:
         ch = self.peek()
-        if ch == "x":
+        if ch in ("x", "I", "J"):
+            # the leaves are written as their kinds
             self.pos += 1
-            return X
-        if ch == "I":
-            self.pos += 1
-            return B_ONE
-        if ch == "J":
-            self.pos += 1
-            return C_ONE
+            return _KINDS[ch][0]()
         if ch == "(":
             self.pos += 1
             p = self.expr()
@@ -642,25 +602,6 @@ def parse(text: str) -> DPoly:
 
 # -- printer ---------------------------------------------------------
 
-_PREC_SUM = 1
-_PREC_SCALED = 2
-_PREC_BULLET = 3
-_PREC_CIRC = 4
-_PREC_ATOM = 5
-
-
-def _prec(p: DPoly) -> int:
-    if isinstance(p, Sum):
-        return _PREC_SUM
-    if isinstance(p, Scaled):
-        return _PREC_SCALED
-    if isinstance(p, Bullet):
-        return _PREC_BULLET
-    if isinstance(p, Circ):
-        return _PREC_CIRC
-    return _PREC_ATOM
-
-
 def print_dpoly(p: DPoly) -> str:
     """Canonical text; parse(print_dpoly(p)) is structurally equal to
     normalize(p)."""
@@ -668,59 +609,43 @@ def print_dpoly(p: DPoly) -> str:
     # every node's text, shared by the negated sum terms' reprints
     texts = {}
 
-    def make(node, kids):
-        def wrap(child, text, minimum):
-            return "(" + text + ")" if _prec(child) < minimum else text
+    def wrap(child, text, minimum):
+        return "(" + text + ")" if _KINDS[child.kind][2] < minimum else text
 
-        if isinstance(node, Var):
-            return "x"
-        if isinstance(node, BulletOne):
-            return "I"
-        if isinstance(node, CircOne):
-            return "J"
-        if isinstance(node, Sum):
-            if not node.terms:
+    def make(node, parts):
+        kind, kids = node.kind, node.kids
+        prec = _KINDS[kind][2]
+        if kind == "sum":
+            if not kids:
                 return "0"
-            parts = [wrap(node.terms[0], kids[0], _PREC_SCALED)]
-            for t, text in zip(node.terms[1:], kids[1:]):
-                if isinstance(t, Scaled) and t.coef < 0:
+            out = [wrap(kids[0], parts[0], prec + 1)]
+            for t, text in zip(kids[1:], parts[1:]):
+                if t.kind == "scaled" and t.coef < 0:
                     # normalize(-t): t's body, or a multiple of it
-                    flipped = (
-                        t.body if t.coef == -1 else Scaled(-t.coef, t.body)
-                    )
+                    body = t.kids[0]
+                    flipped = body if t.coef == -1 else Scaled(-t.coef, body)
                     if flipped not in texts:
-                        texts[flipped] = make(flipped, [texts[t.body]])
-                    parts.append(
-                        "- " + wrap(flipped, texts[flipped], _PREC_SCALED)
-                    )
+                        texts[flipped] = make(flipped, [texts[body]])
+                    out.append("- " + wrap(flipped, texts[flipped], prec + 1))
                 else:
-                    parts.append("+ " + wrap(t, text, _PREC_SCALED))
-            return " ".join(parts)
-        if isinstance(node, Scaled):
-            c = Fraction(node.coef)
-            body = wrap(node.body, kids[0], _PREC_ATOM)
-            if c < 0:
-                inner = (
-                    body
-                    if c == -1
-                    else format_scalar(-node.coef) + " " + body
-                )
-                return "-" + inner
-            if isinstance(node.body, CircOne):
-                return format_scalar(node.coef) + " J"
+                    out.append("+ " + wrap(t, text, prec + 1))
+            return " ".join(out)
+        if kind == "scaled":
+            # a coefficient is followed by an atom or a parenthesised term
+            body = wrap(kids[0], parts[0], _KINDS["x"][2])
+            if node.coef < 0:
+                if node.coef == -1:
+                    return "-" + body
+                return "-" + format_scalar(-node.coef) + " " + body
             return format_scalar(node.coef) + " " + body
-        if isinstance(node, Bullet):
-            left = wrap(node.left, kids[0], _PREC_BULLET)
-            right = wrap(node.right, kids[1], _PREC_BULLET + 1)
-            return left + "*" + right
-        if isinstance(node, Circ):
-            left = wrap(node.left, kids[0], _PREC_CIRC)
-            right = wrap(node.right, kids[1], _PREC_CIRC + 1)
-            return left + "." + right
-        raise DPolyError("unknown node %r" % node)
+        if kind in ("bullet", "circ"):
+            op = "*" if kind == "bullet" else "."
+            left = wrap(kids[0], parts[0], prec)
+            return left + op + wrap(kids[1], parts[1], prec + 1)
+        return kind
 
     for node in _postorder(p):
-        texts[node] = make(node, [texts[c] for c in _children(node)])
+        texts[node] = make(node, [texts[c] for c in node.kids])
     return texts[p]
 
 
@@ -731,42 +656,16 @@ def dpoly_to_json(p: DPoly) -> dict:
     index = {id(node): k for k, node in enumerate(order)}
     nodes = []
     for node in order:
-        if isinstance(node, Var):
-            nodes.append({"kind": "x"})
-        elif isinstance(node, BulletOne):
-            nodes.append({"kind": "I"})
-        elif isinstance(node, CircOne):
-            nodes.append({"kind": "J"})
-        elif isinstance(node, Scaled):
-            nodes.append(
-                {
-                    "kind": "scaled",
-                    "coef": format_scalar(node.coef),
-                    "body": index[id(node.body)],
-                }
-            )
-        elif isinstance(node, Sum):
-            nodes.append(
-                {"kind": "sum", "terms": [index[id(t)] for t in node.terms]}
-            )
-        elif isinstance(node, Bullet):
-            nodes.append(
-                {
-                    "kind": "bullet",
-                    "left": index[id(node.left)],
-                    "right": index[id(node.right)],
-                }
-            )
-        elif isinstance(node, Circ):
-            nodes.append(
-                {
-                    "kind": "circ",
-                    "left": index[id(node.left)],
-                    "right": index[id(node.right)],
-                }
-            )
+        spec = {"kind": node.kind}
+        if node.coef is not None:
+            spec["coef"] = format_scalar(node.coef)
+        kids = [index[id(c)] for c in node.kids]
+        fields = _KINDS[node.kind][1]
+        if isinstance(fields, str):
+            spec[fields] = kids
         else:
-            raise DPolyError("unknown node %r" % node)
+            spec.update(zip(fields, kids))
+        nodes.append(spec)
     return {"nodes": nodes, "root": index[id(p)]}
 
 
@@ -784,24 +683,17 @@ def dpoly_from_json(data: dict) -> DPoly:
     built = []
     for spec in data["nodes"]:
         kind = spec["kind"]
-        if kind == "x":
-            built.append(X)
-        elif kind == "I":
-            built.append(B_ONE)
-        elif kind == "J":
-            built.append(C_ONE)
-        elif kind == "scaled":
-            built.append(
-                Scaled(parse_scalar(spec["coef"]), built[spec["body"]])
-            )
-        elif kind == "sum":
-            built.append(Sum(built[k] for k in spec["terms"]))
-        elif kind == "bullet":
-            built.append(Bullet(built[spec["left"]], built[spec["right"]]))
-        elif kind == "circ":
-            built.append(Circ(built[spec["left"]], built[spec["right"]]))
-        else:
+        if kind not in _KINDS:
             raise DPolyError("unknown node kind %r" % kind)
+        cls, fields, _ = _KINDS[kind]
+        if isinstance(fields, str):
+            kids = tuple([built[k] for k in spec[fields]])
+        else:
+            kids = tuple([built[spec[f]] for f in fields])
+        if cls is Scaled:
+            built.append(Scaled(parse_scalar(spec["coef"]), *kids))
+        else:
+            built.append(_intern(cls, None, kids))
     return built[data["root"]]
 
 

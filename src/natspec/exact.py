@@ -43,13 +43,29 @@ def format_scalar(x: Scalar) -> str:
     return _int_str(f.numerator) + "/" + _int_str(f.denominator)
 
 
+def _str_int(s: str) -> int:
+    """int(s) for a decimal literal of any length, the inverse of
+    _int_str: a literal past CPython's digit limit is read in halves
+    split on a power of ten."""
+    try:
+        return int(s)
+    except ValueError:
+        negative = s[:1] == "-"
+        digits = s[1:] if negative else s
+        if len(digits) < 2 or not digits.isdigit():
+            raise
+        k = len(digits) // 2
+        v = _str_int(digits[:-k]) * 10**k + _str_int(digits[-k:])
+        return -v if negative else v
+
+
 def parse_scalar(s: str) -> Scalar:
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
-        f = Fraction(int(num), int(den))
+        f = Fraction(_str_int(num.strip()), _str_int(den.strip()))
         return f.numerator if f.denominator == 1 else f
-    return int(s)
+    return _str_int(s)
 
 
 def _exact_div(x: Scalar, k: int) -> Scalar:

@@ -411,12 +411,15 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         )
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
+    # equal sorted degrees imply equal edge counts, so an injective
+    # map of g2's edges into g1's is a bijection
     e1 = set(g1.edges())
+    e2 = g2.edges()
     for perm in permutations(range(g1.n)):
         if all(
             (min(perm[i], perm[j]), max(perm[i], perm[j])) in e1
-            for i, j in g2.edges()
-        ) and g1.num_edges() == g2.num_edges():
+            for i, j in e2
+        ):
             return True
     return False
 

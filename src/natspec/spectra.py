@@ -153,8 +153,8 @@ class MergePlan:
             m=data["m"],
             b=data["b"],
             n=data["n"],
-            z=int(data["z"]),
-            weights=tuple(int(w) for w in data["weights"]),
+            z=parse_scalar(data["z"]),
+            weights=tuple(parse_scalar(w) for w in data["weights"]),
             scheme=data["scheme"],
             exponents=tuple(data.get("exponents", ())),
         )

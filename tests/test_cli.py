@@ -174,6 +174,50 @@ class TestDsCommands:
         )
         assert code == EXIT_INPUT
 
+    def test_check_reads_coefficients_past_the_digit_limit(self, corpus, tmp_path):
+        # merge weights of the exhaustive n = 5 bundle run past CPython's
+        # 4300-digit limit on str -> int conversion
+        from natspec.dpoly import X, Scaled
+        from natspec.spectra import natural_spectrum
+
+        bundle_path = tmp_path / "bundle.json"
+        main(["ds-build", "--corpus", str(corpus), "--out", str(bundle_path)])
+        data = json.loads(bundle_path.read_text())
+        p = Scaled(3 * 10**4999 + 1, X)  # a 5,000-digit coefficient
+        data["p_dag"] = dpoly_to_json(p)
+        bundle_path.write_text(json.dumps(data))
+        g1, g2 = enumerate_graphs(3)[1:3]
+        code, rep = run(["ds-check", "--bundle", str(bundle_path),
+                         graph6_emit(g1), graph6_emit(g2)], tmp_path)
+        assert code == EXIT_OK
+        assert rep["spectrum1"] == natural_spectrum(p, g1).to_json()
+        assert rep["spectrum2"] == natural_spectrum(p, g2).to_json()
+
+    @pytest.mark.parametrize("key", ["p_dag", "n", "fingerprint"])
+    def test_check_rejects_a_bundle_without_a_key(self, corpus, tmp_path, capsys, key):
+        bundle_path = tmp_path / "bundle.json"
+        main(["ds-build", "--corpus", str(corpus), "--out", str(bundle_path)])
+        data = json.loads(bundle_path.read_text())
+        del data[key]
+        bundle_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "check.json"
+        argv = ["ds-check", "--bundle", str(bundle_path), "A_", "A_", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+        assert not out.exists()
+
+    def test_check_rejects_an_unknown_node_kind(self, corpus, tmp_path, capsys):
+        bundle_path = tmp_path / "bundle.json"
+        main(["ds-build", "--corpus", str(corpus), "--out", str(bundle_path)])
+        data = json.loads(bundle_path.read_text())
+        data["p_dag"]["nodes"][0]["kind"] = "y"
+        bundle_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["ds-check", "--bundle", str(bundle_path), "A_", "A_"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown node kind 'y'\n"
+
     def test_empty_corpus_rejected(self, tmp_path):
         path = tmp_path / "empty.g6"
         path.write_text("")
@@ -257,6 +301,16 @@ class TestExperiment:
         argv = ["experiment", "--mode", "ds_family", "--corpus", str(corpus), "--out", str(out)]
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == "error: family members have no vertices\n"
+        assert not out.exists()
+
+    def test_ds_family_missing_corpus_rejected(self, tmp_path, capsys):
+        corpus = tmp_path / "missing.g6"
+        out = tmp_path / "report.json"
+        argv = ["experiment", "--mode", "ds_family", "--corpus", str(corpus), "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.g6" in err
         assert not out.exists()
 
     def test_ds_family_ignores_trials(self, tmp_path):

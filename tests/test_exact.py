@@ -40,6 +40,12 @@ class TestScalarText:
         x = Fraction(num, 7)
         assert format_scalar(x) == "3" + "0" * 4998 + "1/7"
         assert format_scalar(-x) == "-" + format_scalar(x)
+        den = 7**5917  # 5,001 digits, coprime to num
+        for y in (big, -big - 7, x, -Fraction(num, den)):
+            back = parse_scalar(format_scalar(y))
+            assert back == y and type(back) is type(y)
+        with pytest.raises(ValueError):
+            parse_scalar("1" * 5000 + "x")
         assert sys.get_int_max_str_digits() == limit
 
 

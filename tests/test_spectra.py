@@ -171,6 +171,7 @@ class TestMergePlans:
         data = plan.to_json()
         assert data["z"] == "1" + "0" * 2499 + "1"
         assert len(data["weights"][2]) == 5001
+        assert MergePlan.from_json(data) == plan
 
 
 class TestDsPipeline:
